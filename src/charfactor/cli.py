@@ -60,11 +60,6 @@ def _resolve_bound(args):
     return DEFAULT_ENUMERATION_BOUND
 
 
-def _emit(args, default):
-    fmt = args.emit or default
-    return fmt
-
-
 def _write(args, text):
     if not text.endswith("\n"):
         text += "\n"
@@ -76,21 +71,21 @@ def _write(args, text):
 
 
 def cmd_factor(args):
-    lam = _parse_weight(args.lam)
-    cert = factorize(lam, args.m, args.n, bound=_resolve_bound(args))
-    if _emit(args, "json") != "json":
+    if (args.emit or "json") != "json":
         raise ValueError("factor supports --emit json only")
+    lam = _parse_weight(args.lam)
+    cert = factorize(lam, args.m, args.n)
     _write(args, json.dumps(cert.to_dict(), indent=2))
     return EXIT_PASS if cert.balanced else EXIT_VANISHING
 
 
 def cmd_verify(args):
-    lam = _parse_weight(args.lam)
-    bound = _resolve_bound(args)
-    fmt = _emit(args, "json")
+    fmt = args.emit or "json"
     if fmt == "csv":
         raise ValueError("verify supports --emit json or poly")
-    cert = factorize(lam, args.m, args.n, bound=bound)
+    lam = _parse_weight(args.lam)
+    bound = _resolve_bound(args)
+    cert = factorize(lam, args.m, args.n)
     if not cert.balanced:
         ok = vanishes_numerically(lam, args.m, args.n,
                                   samples=args.samples, seed=args.seed)
@@ -131,7 +126,7 @@ def cmd_verify(args):
 
 
 def cmd_denom_check(args):
-    fmt = _emit(args, "json")
+    fmt = args.emit or "json"
     if fmt == "csv":
         raise ValueError("denom-check supports --emit json or poly")
     direct = twisted_vandermonde_product(args.m, args.n)
@@ -145,32 +140,31 @@ def cmd_denom_check(args):
 
 
 def cmd_coset_audit(args):
+    if (args.emit or "json") != "json":
+        raise ValueError("coset-audit supports --emit json only")
     lam = _parse_weight(args.lam)
     report = coset_audit(lam, args.m, args.n,
                          outside_sample=args.outside_sample,
                          seed=args.seed, bound=_resolve_bound(args))
-    if _emit(args, "json") != "json":
-        raise ValueError("coset-audit supports --emit json only")
     _write(args, json.dumps(report.to_dict(), indent=2))
     return EXIT_PASS if report.passed else EXIT_INPUT
 
 
 def cmd_coxeter(args):
+    if (args.emit or "json") != "json":
+        raise ValueError("coxeter supports --emit json only")
     lam = _parse_weight(args.lam)
     value = coxeter_value(lam)
     payload = {"lambda": list(lam), "order": len(lam),
                "value": int(value.as_fraction())}
-    if _emit(args, "json") != "json":
-        raise ValueError("coxeter supports --emit json only")
     _write(args, json.dumps(payload, indent=2))
     return EXIT_PASS
 
 
-def run_benchmark(m, n, lam, samples=3, seed=DEFAULT_SEED,
-                  bound=DEFAULT_ENUMERATION_BOUND):
+def run_benchmark(m, n, lam, samples=3, seed=DEFAULT_SEED):
     """Time direct evaluation against factored evaluation on shared points;
     returns (csv rows, all results identical)."""
-    cert = factorize(lam, m, n, bound=bound)
+    cert = factorize(lam, m, n)
     if not cert.balanced:
         raise ValueError("benchmark needs a balanced weight")
     rng = random.Random(seed)
@@ -216,27 +210,26 @@ def _rows_to_csv(rows, fields):
 
 
 def cmd_bench(args):
+    fmt = args.emit or "csv"
+    if fmt == "poly":
+        raise ValueError("bench supports --emit csv or json")
     lam = _parse_weight(args.lam)
-    bound = _resolve_bound(args)
-    cert = factorize(lam, args.m, args.n, bound=bound)
+    cert = factorize(lam, args.m, args.n)
     if not cert.balanced:
         _write(args, json.dumps(cert.to_dict(), indent=2))
         return EXIT_VANISHING
     rows, ok = run_benchmark(args.m, args.n, lam, samples=args.samples,
-                             seed=args.seed, bound=bound)
-    fmt = _emit(args, "csv")
+                             seed=args.seed)
     if fmt == "json":
         _write(args, json.dumps(rows, indent=2))
-    elif fmt == "csv":
-        _write(args, _rows_to_csv(rows, BENCH_FIELDS))
     else:
-        raise ValueError("bench supports --emit csv or json")
+        _write(args, _rows_to_csv(rows, BENCH_FIELDS))
     return EXIT_PASS if ok else EXIT_INPUT
 
 
 def _sweep_one(packed):
-    lam, m, n, samples, seed, bound = packed
-    cert = factorize(lam, m, n, bound=bound)
+    lam, m, n, samples, seed = packed
+    cert = factorize(lam, m, n)
     if cert.balanced:
         ok = verify_numeric(cert, samples=samples, seed=seed)
         return {"lambda": list(lam), "balanced": True,
@@ -249,10 +242,11 @@ def _sweep_one(packed):
 def cmd_sweep(args):
     from .weights import dominant_weights
 
-    bound = _resolve_bound(args)
+    fmt = args.emit or "json"
+    if fmt == "poly":
+        raise ValueError("sweep supports --emit json or csv")
     lams = sorted(dominant_weights(args.m * args.n, args.low, args.high))
-    packed = [(lam, args.m, args.n, args.samples, args.seed, bound)
-              for lam in lams]
+    packed = [(lam, args.m, args.n, args.samples, args.seed) for lam in lams]
     if args.jobs > 1 and packed:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_one, packed))
@@ -264,16 +258,13 @@ def cmd_sweep(args):
         "vanishing": sum(not r["balanced"] for r in rows),
         "failed": sum(not r["check_passed"] for r in rows),
     }
-    fmt = _emit(args, "json")
     if fmt == "csv":
         fields = ["lambda", "balanced", "epsilon", "check_passed"]
         flat = [dict(r, **{"lambda": " ".join(str(x) for x in r["lambda"])})
                 for r in rows]
         _write(args, _rows_to_csv(flat, fields))
-    elif fmt == "json":
-        _write(args, json.dumps({"summary": summary, "rows": rows}, indent=2))
     else:
-        raise ValueError("sweep supports --emit json or csv")
+        _write(args, json.dumps({"summary": summary, "rows": rows}, indent=2))
     return EXIT_PASS if summary["failed"] == 0 else EXIT_INPUT
 
 
@@ -340,12 +331,16 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
+        # a count below 1 checks nothing (--samples) or means nothing (--jobs)
+        for flag in ("samples", "jobs"):
+            if getattr(args, flag, 1) < 1:
+                raise ValueError(f"--{flag} must be at least 1")
         return args.func(args)
     except EnumerationTooLarge as exc:
         print(f"error: instance too large for exact enumeration ({exc})",
               file=sys.stderr)
         return EXIT_BOUND
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

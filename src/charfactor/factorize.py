@@ -84,7 +84,7 @@ def twisted_point(t, n):
     return coords
 
 
-def factorize(lam, m, n, bound=DEFAULT_ENUMERATION_BOUND):
+def factorize(lam, m, n):
     """Produce the factorization certificate for a dominant weight of
     length m*n; a vanishing certificate when the residue balance fails."""
     lam = tuple(lam)
@@ -98,59 +98,39 @@ def factorize(lam, m, n, bound=DEFAULT_ENUMERATION_BOUND):
         return FactorizationCertificate(m=m, n=n, lam=lam, balanced=False)
     mu, w0_sign = normalize_residue_blocks(shifted, m, n)
     etas = factor_weights(mu, m, n)
-    epsilon = sign_via_coxeter(lam, etas, m, n)
+    # mu and the normalized staircase share one row-block scalar at t.c_n (Littlewood's n-core sign)
+    epsilon = w0_sign * normalize_residue_blocks(staircase(m * n), m, n)[1]
     return FactorizationCertificate(m=m, n=n, lam=lam, balanced=True,
                                     mu=mu, w0_sign=w0_sign, etas=etas,
                                     epsilon=epsilon)
 
 
 def sign_via_coxeter(lam, etas, m, n, conjugate=False):
-    """Global sign of the factorization.
+    """Determinant oracle for the sign of the factorization.
 
     Both sides of the identity take values in {0, +1, -1} at the
     primitive-root point (1, a, a^2, ...) with a of order m*n, whose n-th
     powers give the analogous rank-m point; when both are nonzero their
-    ratio is the sign.  Both may vanish there, in which case the sign is
-    pinned at the first generic rational point instead, where the factored
-    side is a strictly positive rational.
+    ratio is the sign.  Returns None when both vanish there.
     """
     big = coxeter_value(tuple(lam), conjugate=conjugate).embed(m * n)
     small = Cyclotomic.rational(1, m * n)
     for eta in etas:
         small = small * coxeter_value(tuple(eta), conjugate=conjugate).embed(m * n)
-    if small:
-        if not big:
-            raise RuntimeError("factored side nonzero but direct side zero "
-                               "at the Coxeter point")
-        value = big / small
-    else:
-        if big:
-            raise RuntimeError("direct side nonzero but factored side zero "
-                               "at the Coxeter point")
-        value = _sign_at_generic_point(lam, etas, m, n)
+    if not small and not big:
+        return None
+    if not big:
+        raise RuntimeError("factored side nonzero but direct side zero "
+                           "at the Coxeter point")
+    if not small:
+        raise RuntimeError("direct side nonzero but factored side zero "
+                           "at the Coxeter point")
+    value = big / small
     if value == 1:
         return 1
     if value == -1:
         return -1
     raise RuntimeError(f"factorization sign is not +-1: {value}")
-
-
-_GENERIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _sign_at_generic_point(lam, etas, m, n):
-    for start in range(len(_GENERIC_BASES) - m + 1):
-        t = [Fraction(x) for x in _GENERIC_BASES[start:start + m]]
-        rhs = Cyclotomic.rational(1)
-        powers = [x ** n for x in t]
-        for eta in etas:
-            rhs = rhs * schur_at_point(tuple(eta), powers)
-        if not rhs:
-            # unreachable at positive coordinates; kept as a guard
-            continue
-        lhs = schur_at_point(tuple(lam), twisted_point(t, n))
-        return lhs / rhs
-    raise RuntimeError("no usable generic point found")
 
 
 def random_regular_point(rng, m, n, retries=64):

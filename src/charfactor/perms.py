@@ -110,20 +110,11 @@ class Perm:
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Row blocks and column blocks of the n x m position grid."""
+    """Shape of the n x m position grid whose rows and columns are the
+    blocks of the row and column subgroups."""
 
     m: int
     n: int
-
-    @property
-    def rows(self):
-        return tuple(frozenset(range(self.m * k + 1, self.m * (k + 1) + 1))
-                     for k in range(self.n))
-
-    @property
-    def cols(self):
-        return tuple(frozenset(range(v, self.m * self.n + 1, self.m))
-                     for v in range(1, self.m + 1))
 
 
 def symmetric_group(size, bound=DEFAULT_ENUMERATION_BOUND):

@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from charfactor import cli
 from charfactor.cli import main, run_benchmark
 from charfactor.factorize import FactorizationCertificate, verify_numeric
 
@@ -66,6 +69,53 @@ class TestFactorCommand:
                      "--output", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["balanced"] is True
+
+    def test_output_under_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code = main(["factor", "--m", "2", "--n", "2", "--lambda", "0,0,0,0",
+                     "--output", str(target)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.exists()
+
+
+class TestEmitValidation:
+    @pytest.mark.parametrize("argv,work", [
+        (("factor", "--m", "2", "--n", "2", "--lambda", "1,1,0,0"), "factorize"),
+        (("coset-audit", "--m", "2", "--n", "2", "--lambda", "2,1,1,0"),
+         "coset_audit"),
+        (("coxeter", "--lambda", "1,0,0,0"), "coxeter_value"),
+    ])
+    def test_bad_emit_rejected_before_work(self, capsys, monkeypatch, argv, work):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --emit was checked")
+
+        monkeypatch.setattr(cli, work, refuse)
+        code, out = run_cli(capsys, *argv, "--emit", "poly")
+        assert code == 1
+        assert out == ""
+
+
+class TestCountValidation:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--m", "2", "--n", "2", "--lambda", "1,1,0,0", "--samples", "0"),
+        ("bench", "--m", "2", "--n", "2", "--lambda", "1,1,0,0", "--samples", "0"),
+        ("sweep", "--m", "2", "--n", "2", "--min", "0", "--max", "1",
+         "--samples", "0"),
+        ("sweep", "--m", "2", "--n", "2", "--min", "0", "--max", "1", "--jobs", "0"),
+        ("sweep", "--m", "2", "--n", "2", "--min", "0", "--max", "1", "--jobs", "-1"),
+    ])
+    def test_counts_below_one_rejected(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the counts were checked")
+
+        monkeypatch.setattr(cli, "factorize", refuse)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --{argv[-2][2:]} must be at least 1\n"
 
 
 class TestVerifyCommand:
@@ -192,6 +242,15 @@ class TestSweepCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 6
         assert all(r["check_passed"] == "True" for r in rows)
+
+    def test_process_pool_output_matches_serial(self, capsys):
+        argv = ("sweep", "--m", "2", "--n", "3", "--min", "0", "--max", "2",
+                "--samples", "1")
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        pooled = run_cli(capsys, *argv, "--jobs", "2")
+        assert serial[0] == 0
+        assert json.loads(serial[1])["summary"]["total"] > 0
+        assert pooled == serial
 
     def test_rows_sorted_by_weight(self, capsys):
         code, out = run_cli(capsys, "sweep", "--m", "1", "--n", "2",

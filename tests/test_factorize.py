@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -72,16 +73,56 @@ class TestSignViaCoxeter:
         assert sign_via_coxeter((0, 0, 0, 0), ((0, 0), (0, 0)), 2, 2) == 1
 
     def test_fallback_when_coxeter_point_vanishes(self):
-        # both sides are zero at the Coxeter point here; the generic-point
-        # fallback must still pin the sign to -1
-        assert sign_via_coxeter((1, 1, 0, 0), ((1, 0), (0, 0)), 2, 2) == -1
+        # both sides are zero at the Coxeter point here, so the oracle
+        # cannot decide the sign
+        assert sign_via_coxeter((1, 1, 0, 0), ((1, 0), (0, 0)), 2, 2) is None
+
+    def test_one_side_vanishing_raises(self):
+        with pytest.raises(RuntimeError, match="direct side zero"):
+            sign_via_coxeter((1, 1, 0, 0), ((0, 0), (0, 0)), 2, 2)
 
     def test_conjugate_point_gives_same_sign(self):
-        for lam, m, n in (((0, 0, 0, 0), 2, 2), ((2, 1, 0), 1, 3),
-                          ((2, 2, 1, 1), 2, 2)):
+        # (2, 2, 1, 1) vanishes at the Coxeter point, so the oracle is
+        # undecided there
+        for lam, m, n, expected in (((0, 0, 0, 0), 2, 2, 1), ((2, 1, 0), 1, 3, -1),
+                                    ((2, 2, 1, 1), 2, 2, None)):
             cert = factorize(lam, m, n)
-            assert sign_via_coxeter(lam, cert.etas, m, n, conjugate=True) == \
-                cert.epsilon
+            sign = sign_via_coxeter(lam, cert.etas, m, n, conjugate=True)
+            assert sign == expected
+            assert sign in (None, cert.epsilon)
+
+    def test_closed_form_matches_determinant_oracle(self):
+        grid = (((2, 2), -2, 3), ((2, 3), -1, 2), ((3, 2), -1, 2),
+                ((2, 4), 0, 2), ((4, 2), 0, 2))
+        total = decided = 0
+        for (m, n), lo, hi in grid:
+            for lam in dominant_weights(m * n, lo, hi):
+                if not is_residue_balanced(shifted_weight(lam), m, n):
+                    continue
+                total += 1
+                cert = factorize(lam, m, n)
+                sign = sign_via_coxeter(lam, cert.etas, m, n)
+                if sign is None:
+                    assert verify_numeric(cert, samples=1), lam
+                else:
+                    decided += 1
+                    assert sign == cert.epsilon, lam
+        assert (total, decided) == (161, 48)
+
+    @pytest.mark.parametrize("m,n", [(4, 4), (3, 5), (6, 6)])
+    def test_factorize_needs_no_determinant(self, monkeypatch, m, n):
+        def refuse(matrix):
+            raise AssertionError("factorize evaluated a determinant")
+
+        for name in ("charfactor.characters", "charfactor.factorize"):
+            monkeypatch.setattr(importlib.import_module(name),
+                                "det_fraction_free", refuse, raising=False)
+        assert factorize((0,) * (m * n), m, n).epsilon == 1
+        # e_n at t.c_n is (-1)^(n+1) * (t_1^n + ... + t_m^n), from
+        # prod_(j,s) (1 + zeta^j t_s z) = prod_s (1 - (-t_s z)^n)
+        cert = factorize((1,) * n + (0,) * (m * n - n), m, n)
+        assert cert.etas == ((1,) + (0,) * (m - 1),) + ((0,) * m,) * (n - 1)
+        assert cert.epsilon == (-1) ** (n + 1)
 
     def test_epsilon_matches_generic_point_ratio(self):
         # independent oracle at t = (2, 3): e2(2,3,-2,-3) = -13 while
