@@ -4,6 +4,12 @@ The twisted point attaches the m parameters t_1..t_m to every power of a
 primitive n-th root of unity: coordinate k*m+s carries zeta_n^k * t_s.
 Everything here is exact over Q(zeta_N).
 
+The alternating sums (`twisted_numerator`, `coset_block_sum`, `alternant`)
+share one route, generalized Laplace expansion along the blocks of the
+exponent vector: each left coset of the row subgroup contributes its sign
+times a product of m x m minors, each enumerated over S_m.  The brute-force
+(mn)! and row-subgroup sums are test oracles.
+
 Two independent evaluation routes for characters are kept side by side on
 purpose.  The tableau route builds the character as an explicit Laurent
 polynomial from semistandard tableaux; the alternant-ratio route divides
@@ -14,76 +20,101 @@ They cross-check each other in the test suite.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import add
 
-from .cyclotomic import Cyclotomic, as_cyclotomic, field_degree, zeta
+from .cyclotomic import Cyclotomic, as_cyclotomic, zeta
 from .laurent import LaurentPoly
-from .perms import (DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge,
-                    permutation_parity)
+from .perms import (DEFAULT_ENUMERATION_BOUND, Perm, permutation_parity,
+                    row_coset_reps)
 from .weights import check_dominant, shifted_weight
 
 
+def _block_minor(values, positions, m, n, arrangements):
+    # det(x_p^v), rows p in the 1-based positions and columns v in values,
+    # as integer counts keyed by the t-exponents and then the power of zeta_n
+    # mod n (so a minor with proportional rows cancels to nothing)
+    places = [divmod(p - 1, m) for p in positions]
+    counts = {}
+    for images, parity in arrangements:
+        key = [0] * (m + 1)
+        for (k, s), i in zip(places, images):
+            key[s] += values[i]
+            key[m] += k * values[i]
+        key[m] %= n
+        key = tuple(key)
+        counts[key] = counts.get(key, 0) + parity
+    return {key: c for key, c in counts.items() if c}
+
+
+def _coset_sums(mu, m, n, reps):
+    # generalized Laplace expansion along the n blocks of mu: the coset of
+    # each rep adds rep.sign * prod_k det(x_p^v), v in block k of mu and p in
+    # rep(block k); the counts are reduced to Q(zeta_n) once, at the end
+    if len(mu) != m * n:
+        raise ValueError("mu length must be m*n")
+    mu = tuple(mu)
+    arrangements = [(images, permutation_parity(images))
+                    for images in itertools.permutations(range(m))]
+    minors = {}
+    counts = {}
+    for rep in reps:
+        factors = []
+        for start in range(0, m * n, m):
+            block = rep.images[start:start + m]
+            factor = minors.get((start, block))
+            if factor is None:
+                factor = minors[start, block] = _block_minor(
+                    mu[start:start + m], block, m, n, arrangements)
+            if not factor:
+                break
+            factors.append(factor)
+        if len(factors) < n:
+            continue
+        partial = {(0,) * (m + 1): rep.sign}
+        for k, factor in enumerate(factors, 1):
+            product = counts if k == n else {}
+            for ka, ca in partial.items():
+                for kb, cb in factor.items():
+                    key = tuple(map(add, ka, kb))
+                    product[key] = product.get(key, 0) + ca * cb
+            partial = product
+    basis = [[int(c) for c in zeta(n, j).coeffs] for j in range(n)]
+    vecs = {}
+    for key, cnt in counts.items():
+        vec = vecs.setdefault(key[:m], [0] * len(basis[0]))
+        for i, b in enumerate(basis[key[m] % n]):
+            vec[i] += cnt * b
+    terms = {texp: Cyclotomic(n, vec) for texp, vec in vecs.items() if any(vec)}
+    return LaurentPoly._raw(m, n, terms)
+
+
+def coset_block_sum(mu, m, n, rep):
+    """Signed sum of the block-specialized monomials of mu over the left
+    coset of the row subgroup represented by rep: rep.sign times the
+    product of the m x m minors det(x_p^v), v in block k of mu and p in
+    rep(block k) (generalized Laplace expansion; it holds for any mu)."""
+    return _coset_sums(mu, m, n, [rep])
+
+
 def twisted_numerator(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
-    """Alternating sum, over the full symmetric group on m*n letters, of
-    the block-specialized monomials of mu.
+    """The twisted alternant det(x_p^(mu_j)), x_(k*m+s) = zeta_n^k * t_s:
+    the sum of `coset_block_sum` over the left cosets of the row subgroup.
 
     The result is an exact Laurent polynomial in t_1..t_m over Q(zeta_n).
     It is antisymmetric in mu; it collapses to the zero polynomial exactly
     when the residue classes of mu mod n are not uniformly filled.
     """
-    total = m * n
-    if len(mu) != total:
-        raise ValueError("mu length must be m*n")
-    if total > bound:
-        raise EnumerationTooLarge(f"S_{total} exceeds the enumeration bound {bound}")
-    mu = tuple(mu)
-    pos_block = tuple(p // m for p in range(total))
-    pos_var = tuple(p % m for p in range(total))
-    # accumulate integer multiplicities per (t-exponent, zeta-power) first;
-    # cyclotomic reduction happens once per distinct monomial at the end
-    counts = {}
-    for images in itertools.permutations(range(total)):
-        parity = permutation_parity(images)
-        texp = [0] * m
-        twist = 0
-        for p in range(total):
-            e = mu[images[p]]
-            texp[pos_var[p]] += e
-            twist += pos_block[p] * e
-        key = tuple(texp)
-        row = counts.get(key)
-        if row is None:
-            row = [0] * n
-            counts[key] = row
-        row[twist % n] += parity
-
-    deg = field_degree(n)
-    basis = [zeta(n, j).coeffs for j in range(n)]
-    terms = {}
-    for key, row in counts.items():
-        vec = [Fraction(0)] * deg
-        for j, cnt in enumerate(row):
-            if cnt:
-                for i, b in enumerate(basis[j]):
-                    if b:
-                        vec[i] += cnt * b
-        if any(vec):
-            terms[key] = Cyclotomic(n, vec)
-    return LaurentPoly._raw(m, n, terms)
+    return _coset_sums(mu, m, n, row_coset_reps(m, n, bound=bound))
 
 
-def alternant(exponents, power=1):
-    """Alternating sum over all arrangements of the given exponent vector,
-    as a Laurent polynomial; with power=k the variables are t_s^k."""
+def alternant(exponents):
+    """det(t_s^(e_j)), the alternating sum over all arrangements of the
+    exponent vector, as a Laurent polynomial: the case n = 1 of
+    `coset_block_sum`."""
     size = len(exponents)
-    counts = {}
-    for images in itertools.permutations(range(size)):
-        parity = permutation_parity(images)
-        key = tuple(exponents[images[s]] * power for s in range(size))
-        counts[key] = counts.get(key, 0) + parity
-    return LaurentPoly(size, {k: c for k, c in counts.items() if c})
+    return _coset_sums(exponents, size, 1, [Perm.identity(size)])
 
 
 def twisted_vandermonde_product(m, n):

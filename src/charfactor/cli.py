@@ -335,6 +335,9 @@ def main(argv=None):
         for flag in ("samples", "jobs"):
             if getattr(args, flag, 1) < 1:
                 raise ValueError(f"--{flag} must be at least 1")
+        # the report is written after the work, so check its directory first
+        if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+            raise ValueError(f"--output directory does not exist: {args.output}")
         return args.func(args)
     except EnumerationTooLarge as exc:
         print(f"error: instance too large for exact enumeration ({exc})",

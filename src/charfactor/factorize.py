@@ -17,10 +17,11 @@ from fractions import Fraction
 from .cyclotomic import Cyclotomic, as_cyclotomic, omega_power_of, zeta
 from .laurent import LaurentPoly, block_specialize
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure,
-                    EnumerationTooLarge, is_column_row_product,
-                    row_coset_reps, row_subgroup, column_subgroup)
-from .characters import (alternant, coxeter_value, denominator_scalar,
-                         schur_at_point, twisted_numerator)
+                    is_column_row_product, row_coset_reps, row_subgroup,
+                    column_subgroup)
+from .characters import (alternant, coset_block_sum, coxeter_value,
+                         denominator_scalar, schur_at_point,
+                         twisted_numerator)
 from .weights import (check_dominant, factor_weights, is_residue_balanced,
                       normalize_residue_blocks, shifted_weight, staircase)
 
@@ -147,6 +148,8 @@ def verify_numeric(cert, samples=5, seed=DEFAULT_SEED):
     """Exact spot-check of the certificate: at each sampled point the direct
     character value must equal epsilon times the product of the factor
     values at the n-th powers."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1; zero checks cannot pass")
     if not cert.balanced:
         raise ValueError("certificate is a vanishing certificate; nothing to factor")
     rng = random.Random(seed)
@@ -178,7 +181,7 @@ def verify_symbolic(cert, bound=DEFAULT_ENUMERATION_BOUND):
     rho = staircase(m)
     rhs = LaurentPoly.monomial((n * (n - 1) // 2,) * m, 1)
     for eta in cert.etas:
-        rhs = rhs * alternant(tuple(e + r for e, r in zip(eta, rho)), power=n)
+        rhs = rhs * alternant(tuple(e + r for e, r in zip(eta, rho))).power_substitute(n)
     scalar = lhs.scalar_ratio(rhs)
     if scalar is None:
         return False, None
@@ -189,6 +192,8 @@ def verify_symbolic(cert, bound=DEFAULT_ENUMERATION_BOUND):
 def vanishes_numerically(lam, m, n, samples=5, seed=DEFAULT_SEED):
     """Spot-check that the character is exactly zero at random twisted
     points (the expected behavior of an unbalanced weight)."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1; zero checks cannot pass")
     rng = random.Random(seed)
     lam = tuple(lam)
     for _ in range(samples):
@@ -196,22 +201,6 @@ def vanishes_numerically(lam, m, n, samples=5, seed=DEFAULT_SEED):
         if schur_at_point(lam, twisted_point(t, n)):
             return False
     return True
-
-
-def coset_block_sum(mu, m, n, rep, bound=DEFAULT_ENUMERATION_BOUND):
-    """Signed sum of block-specialized monomials over the left coset of the
-    row subgroup represented by rep."""
-    if m * n > bound:
-        raise EnumerationTooLarge(f"S_{m * n} exceeds the enumeration bound {bound}")
-    total = LaurentPoly._raw(m, n, {})
-    rep_sign = rep.sign
-    for sigma in row_subgroup(m, n):
-        tau = rep * sigma
-        term = block_specialize(tau.act(mu), m, n)
-        if rep_sign * sigma.sign < 0:
-            term = -term
-        total = total + term
-    return total
 
 
 @dataclass
@@ -269,7 +258,7 @@ def coset_audit(lam, m, n, outside_sample=None, sigma_sample=None,
     if outside_sample is not None and outside_sample < len(outside):
         outside = rng.sample(outside, outside_sample)
     for rep in outside:
-        if coset_block_sum(mu, m, n, rep, bound=bound):
+        if coset_block_sum(mu, m, n, rep):
             failures.append(f"nonzero block sum on the coset of {rep!r}")
 
     base = block_specialize(mu, m, n)

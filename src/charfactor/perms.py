@@ -182,15 +182,13 @@ def row_coset_reps(m, n, bound=DEFAULT_ENUMERATION_BOUND):
     if total > bound:
         raise EnumerationTooLarge(f"S_{total} exceeds the enumeration bound {bound}")
 
-    def assign(remaining, row):
-        if row == n:
-            yield []
+    def assign(remaining, prefix):
+        if not remaining:
+            yield prefix
             return
         for chosen in itertools.combinations(remaining, m):
-            taken = set(chosen)
-            rest = tuple(x for x in remaining if x not in taken)
-            for tail in assign(rest, row + 1):
-                yield list(chosen) + tail
+            rest = tuple(x for x in remaining if x not in chosen)
+            yield from assign(rest, prefix + chosen)
 
-    for flat in assign(tuple(range(1, total + 1)), 0):
+    for flat in assign(tuple(range(1, total + 1)), ()):
         yield Perm._unchecked(flat)

@@ -1,11 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from charfactor.cyclotomic import Cyclotomic, zeta
+from charfactor.cyclotomic import Cyclotomic, field_degree, zeta
 from charfactor.laurent import LaurentPoly
-from charfactor.perms import EnumerationTooLarge, symmetric_group
+from charfactor.perms import (EnumerationTooLarge, permutation_parity,
+                              symmetric_group)
 from charfactor.characters import (alternant, alternant_at_point,
                                    coxeter_value, det_fraction_free,
                                    schur_at_point, schur_polynomial,
@@ -29,7 +31,57 @@ def weyl_dimension(lam):
     return num // den
 
 
+def numerator_by_symmetric_group(mu, m, n):
+    # independent oracle: the alternating sum over all of S_(m*n) of the
+    # block-specialized monomials of mu, term by term
+    total = m * n
+    counts = {}
+    for images in itertools.permutations(range(total)):
+        parity = permutation_parity(images)
+        texp = [0] * m
+        twist = 0
+        for p in range(total):
+            e = mu[images[p]]
+            texp[p % m] += e
+            twist += (p // m) * e
+        row = counts.setdefault(tuple(texp), [0] * n)
+        row[twist % n] += parity
+    basis = [zeta(n, j).coeffs for j in range(n)]
+    terms = {}
+    for key, row in counts.items():
+        vec = [Fraction(0)] * field_degree(n)
+        for j, cnt in enumerate(row):
+            for i, b in enumerate(basis[j]):
+                vec[i] += cnt * b
+        if any(vec):
+            terms[key] = Cyclotomic(n, vec)
+    return LaurentPoly(m, terms, order=n)
+
+
+def balanced_shuffle(rng, m, n, low, high):
+    # m distinct values from each residue class mod n, in random order: an
+    # unnormalized mu whose twisted numerator does not vanish
+    mu = []
+    for r in range(n):
+        mu += rng.sample([v for v in range(low, high + 1) if v % n == r], m)
+    rng.shuffle(mu)
+    return tuple(mu)
+
+
+SMALL_SHAPES = [(m, n) for m in range(1, 9) for n in range(1, 9) if m * n <= 8]
+
+
 class TestTwistedNumerator:
+    @pytest.mark.parametrize("m,n", SMALL_SHAPES)
+    def test_matches_symmetric_group_oracle(self, m, n):
+        rng = random.Random(1000 * m + n)
+        cases = [balanced_shuffle(rng, m, n, -3, 9) for _ in range(2)]
+        cases.append(tuple(rng.randint(-3, 9) for _ in range(m * n)))
+        for mu in cases:
+            expected = numerator_by_symmetric_group(mu, m, n)
+            assert twisted_numerator(mu, m, n) == expected, mu
+        assert numerator_by_symmetric_group(cases[0], m, n)
+
     def test_two_term_case(self):
         # m=1, n=2, mu=(2,1): t1^2*(-t1) - t1*(-t1)^2 = -2 t1^3
         assert twisted_numerator((2, 1), 1, 2) == LaurentPoly(1, {(3,): -2})
@@ -71,7 +123,7 @@ class TestAlternant:
         assert alternant((1, 0)) == LaurentPoly(2, {(1, 0): 1, (0, 1): -1})
 
     def test_power_substitution(self):
-        assert alternant((2, 0), power=2) == \
+        assert alternant((2, 0)).power_substitute(2) == \
             LaurentPoly(2, {(4, 0): 1, (0, 4): -1})
 
     def test_staircase_is_vandermonde(self):

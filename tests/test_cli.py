@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import charfactor
 from charfactor import cli
 from charfactor.cli import main, run_benchmark
 from charfactor.factorize import FactorizationCertificate, verify_numeric
@@ -77,6 +79,21 @@ class TestFactorCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.exists()
+
+    def test_missing_output_directory_rejected_before_work(self, capsys, monkeypatch,
+                                                           tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before --output was checked")
+
+        monkeypatch.setattr(cli, "factorize", refuse)
+        target = tmp_path / "missing" / "x"
+        code = main(["verify", "--m", "3", "--n", "3", "--lambda", ",".join("0" * 9),
+                     "--samples", "1", "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --output directory does not exist: {target}\n"
         assert not target.exists()
 
 
@@ -272,8 +289,10 @@ class TestParsing:
         assert main(["--help"]) == 0
 
     def test_module_entry_point(self):
+        # the child imports the package under test, installed or not
+        src = os.path.dirname(os.path.dirname(charfactor.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "charfactor", "coxeter", "--lambda", "0,0"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == 1

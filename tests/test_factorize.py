@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from charfactor.cyclotomic import zeta
 from charfactor.laurent import LaurentPoly, block_specialize
 from charfactor.perms import (BlockStructure, Perm, is_column_row_product,
-                              row_coset_reps, column_subgroup)
+                              row_coset_reps, row_subgroup, column_subgroup)
 from charfactor.characters import (alternant, schur_at_point,
                                    twisted_numerator)
 from charfactor.weights import (dominant_weights, is_residue_balanced,
@@ -158,6 +159,12 @@ class TestVerifyNumeric:
         with pytest.raises(ValueError):
             verify_numeric(cert)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected(self, samples):
+        cert = factorize((1, 1, 0, 0), 2, 2)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify_numeric(cert, samples=samples)
+
     def test_deterministic_under_seed(self):
         cert = factorize((1, 1, 0, 0), 2, 2)
         assert verify_numeric(cert, samples=2, seed=5) == \
@@ -201,6 +208,21 @@ class TestVanishing:
     def test_balanced_character_is_not(self):
         assert not vanishes_numerically((0, 0, 0, 0), 2, 2, samples=1)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            vanishes_numerically((1, 0, 0, 0), 2, 2, samples=samples)
+
+
+def coset_sum_by_row_subgroup(mu, m, n, rep):
+    # independent oracle: the signed block-specialized monomials of the
+    # coset of rep, term by term over the row subgroup
+    total = LaurentPoly.zero(m)
+    for sigma in row_subgroup(m, n):
+        term = block_specialize((rep * sigma).act(mu), m, n)
+        total = total + (term if rep.sign * sigma.sign > 0 else -term)
+    return total
+
 
 class TestCosetBlockSum:
     def test_identity_coset_factors(self):
@@ -213,7 +235,7 @@ class TestCosetBlockSum:
         for k in range(2):
             block = sorted(mu[2 * k: 2 * k + 2], reverse=True)
             product = product * alternant(
-                tuple((x - k) // 2 for x in block), power=2)
+                tuple((x - k) // 2 for x in block)).power_substitute(2)
         scalar = total.scalar_ratio(product)
         assert scalar is not None and scalar != 0
 
@@ -235,13 +257,21 @@ class TestCosetBlockSum:
             expected = base.scale(ratio * eta.sign)
             assert coset_block_sum(mu, 2, 2, eta) == expected
 
-    @pytest.mark.parametrize("m,n", [(2, 2), (1, 3), (3, 2)])
+    @pytest.mark.parametrize("m,n", [(2, 2), (1, 3), (3, 2), (2, 3)])
     def test_coset_sums_decompose_full_numerator(self, m, n):
-        mu, _ = normalize_residue_blocks(staircase(m * n), m, n)
-        total = LaurentPoly.zero(m)
-        for rep in row_coset_reps(m, n):
-            total = total + coset_block_sum(mu, m, n, rep)
-        assert total == twisted_numerator(mu, m, n)
+        # every coset sum against the row-subgroup oracle, for the
+        # normalized staircase and for distinct entries in random order
+        # (whose outside cosets need not vanish); the oracle sums add up
+        # to the full numerator
+        rng = random.Random(10 * m + n)
+        for mu in (normalize_residue_blocks(staircase(m * n), m, n)[0],
+                   tuple(rng.sample(range(-3, 10), m * n))):
+            total = LaurentPoly.zero(m)
+            for rep in row_coset_reps(m, n):
+                expected = coset_sum_by_row_subgroup(mu, m, n, rep)
+                assert coset_block_sum(mu, m, n, rep) == expected, (mu, rep)
+                total = total + expected
+            assert total == twisted_numerator(mu, m, n)
 
 
 class TestCosetAudit:
