@@ -216,7 +216,8 @@ def schur_polynomial(lam):
 
 def det_fraction_free(matrix):
     """Exact determinant by fraction-free (Bareiss) elimination with row
-    pivoting; entries may mix rationals and cyclotomic values."""
+    pivoting; entries may mix rationals and cyclotomic values.  Each
+    pivot is inverted once and the next step multiplies by its inverse."""
     size = len(matrix)
     if size == 0:
         return Cyclotomic.rational(1)
@@ -243,10 +244,11 @@ def det_fraction_free(matrix):
             else:
                 return zero
         pivot = rows[p][p]
+        scale = prev.inverse()
         for r in range(p + 1, size):
             head = rows[r][p]
             for c in range(p + 1, size):
-                rows[r][c] = (pivot * rows[r][c] - head * rows[p][c]) / prev
+                rows[r][c] = (pivot * rows[r][c] - head * rows[p][c]) * scale
             rows[r][p] = zero
         prev = pivot
     det = rows[-1][-1]
@@ -287,17 +289,9 @@ def coxeter_value(lam, conjugate=False):
     With conjugate=True the point is built from the inverse root instead;
     the result must agree whenever it is determined.
     """
-    lam = tuple(lam)
     size = len(lam)
-    nu = shifted_weight(lam)
     step = -1 if conjugate else 1
-    matrix = [[zeta(size, step * i * e) for e in nu] for i in range(size)]
-    num = det_fraction_free(matrix)
-    den = Cyclotomic.rational(1, size)
-    for i in range(size):
-        for j in range(i + 1, size):
-            den = den * (zeta(size, step * i) - zeta(size, step * j))
-    value = num / den
+    value = schur_at_point(lam, [zeta(size, step * i) for i in range(size)])
     if not (value == 0 or value == 1 or value == -1):
         raise RuntimeError(f"character value at a Coxeter point outside 0,+1,-1: {value}")
     return value

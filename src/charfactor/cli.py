@@ -25,7 +25,7 @@ from .characters import (schur_at_point, coxeter_value, twisted_numerator,
 from .weights import shifted_weight
 from .factorize import (DEFAULT_SEED, coset_audit, factorize,
                         random_regular_point, twisted_point,
-                        vanishes_numerically, verify_numeric, verify_symbolic)
+                        vanishes_numerically, verify_numerator, verify_numeric)
 
 EXIT_PASS = 0
 EXIT_INPUT = 1
@@ -102,11 +102,12 @@ def cmd_verify(args):
             }
             _write(args, json.dumps(report, indent=2))
         return EXIT_VANISHING if ok else EXIT_INPUT
-    sym_ok, scalar = verify_symbolic(cert, bound=bound)
+    numerator = twisted_numerator(cert.mu, args.m, args.n, bound=bound)
+    sym_ok, scalar = verify_numerator(cert, numerator)
     num_ok = verify_numeric(cert, samples=args.samples, seed=args.seed)
     if fmt == "poly":
         lines = [
-            f"numerator: {twisted_numerator(cert.mu, args.m, args.n, bound=bound)}",
+            f"numerator: {numerator}",
             f"scalar: {scalar}" if scalar is not None else "scalar: none",
             f"symbolic: {'pass' if sym_ok else 'fail'}",
             f"numeric: {'pass' if num_ok else 'fail'}",
@@ -245,9 +246,11 @@ def cmd_sweep(args):
     fmt = args.emit or "json"
     if fmt == "poly":
         raise ValueError("sweep supports --emit json or csv")
+    if args.low > args.high:
+        raise ValueError("--min must not exceed --max")
     lams = sorted(dominant_weights(args.m * args.n, args.low, args.high))
     packed = [(lam, args.m, args.n, args.samples, args.seed) for lam in lams]
-    if args.jobs > 1 and packed:
+    if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_one, packed))
     else:
@@ -331,10 +334,11 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
-        # a count below 1 checks nothing (--samples) or means nothing (--jobs)
-        for flag in ("samples", "jobs"):
-            if getattr(args, flag, 1) < 1:
-                raise ValueError(f"--{flag} must be at least 1")
+        # a count below 1 checks nothing, or for --jobs means nothing
+        for flag in ("samples", "jobs", "outside_sample"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
         # the report is written after the work, so check its directory first
         if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
             raise ValueError(f"--output directory does not exist: {args.output}")

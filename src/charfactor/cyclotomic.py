@@ -10,14 +10,16 @@ floating point.
 Values of different orders interoperate through `embed`, which realizes
 Q(zeta_d) inside Q(zeta_N) for d | N via zeta_d -> zeta_N^(N/d); binary
 operations lift both operands into the compound field of order
-lcm(a.order, b.order) automatically.
+lcm(a.order, b.order) automatically.  The Galois conjugations
+zeta -> zeta^j are the same power map, and division multiplies by the
+other conjugates over the norm, a rational number.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -80,44 +82,16 @@ def _zeta_power_rows(order):
     return rows
 
 
-def _trim(poly):
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _poly_divmod(a, b):
-    # Fraction coefficient lists, b nonzero; returns (quotient, remainder)
-    a = list(a)
-    b = _trim(list(b))
-    if len(a) < len(b):
-        return [], a
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    inv_lead = Fraction(1) / b[-1]
-    for i in range(len(q) - 1, -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        q[i] = c
+def _power_map(coeffs, order, step):
+    # sum_j c_j * zeta_order^(j*step), each power reduced through the table
+    rows = _zeta_power_rows(order)
+    out = [Fraction(0)] * field_degree(order)
+    for j, c in enumerate(coeffs):
         if c:
-            for j, d in enumerate(b):
-                a[i + j] -= c * d
-    return q, _trim(a)
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+            for i, r in enumerate(rows[(j * step) % order]):
+                if r:
+                    out[i] += c * r
     return out
-
-
-def _poly_sub(a, b):
-    width = max(len(a), len(b))
-    a = a + [Fraction(0)] * (width - len(a))
-    b = b + [Fraction(0)] * (width - len(b))
-    return _trim([x - y for x, y in zip(a, b)])
 
 
 class Cyclotomic:
@@ -203,26 +177,16 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse, via the extended Euclidean algorithm on
-        the representative polynomial and the cyclotomic modulus."""
+        """Multiplicative inverse: the product of the Galois conjugates
+        sigma_j(self), 1 < j < order coprime to it, over the norm (self times
+        that product), read by `as_fraction`, which raises unless rational."""
         if not self:
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = modulus, _trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            q, rem = _poly_divmod(r0, r1)
-            if not rem:
-                break
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # here r1 is the gcd, a nonzero constant since the modulus is irreducible
-        if len(r1) != 1:
-            raise ArithmeticError("cyclotomic modulus split unexpectedly")
-        scale = Fraction(1) / r1[0]
-        deg = field_degree(self.order)
-        out = [c * scale for c in s1] + [Fraction(0)] * deg
-        return Cyclotomic(self.order, tuple(out[:deg]))
+        others = Cyclotomic.rational(1, self.order)
+        for j in range(2, self.order):
+            if gcd(j, self.order) == 1:
+                others = others * self.galois(j)
+        return others / (self * others).as_fraction()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -258,15 +222,12 @@ class Cyclotomic:
             return self
         if order % self.order:
             raise ValueError(f"cannot embed order {self.order} into order {order}")
-        step = order // self.order
-        rows = _zeta_power_rows(order)
-        out = [Fraction(0)] * field_degree(order)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                for i, r in enumerate(rows[(j * step) % order]):
-                    if r:
-                        out[i] += c * r
-        return Cyclotomic(order, tuple(out))
+        return Cyclotomic(order, _power_map(self.coeffs, order, order // self.order))
+
+    def galois(self, j):
+        """Image under the automorphism sigma_j: zeta -> zeta^j of
+        Q(zeta_order); j must be coprime to the order."""
+        return Cyclotomic(self.order, _power_map(self.coeffs, self.order, j))
 
     def __bool__(self):
         return any(self.coeffs)

@@ -176,8 +176,12 @@ def verify_symbolic(cert, bound=DEFAULT_ENUMERATION_BOUND):
     """
     if not cert.balanced:
         raise ValueError("certificate is a vanishing certificate; nothing to factor")
+    return verify_numerator(cert, twisted_numerator(cert.mu, cert.m, cert.n, bound=bound))
+
+
+def verify_numerator(cert, lhs):
+    """`verify_symbolic` given lhs, the twisted numerator of cert.mu."""
     m, n = cert.m, cert.n
-    lhs = twisted_numerator(cert.mu, m, n, bound=bound)
     rho = staircase(m)
     rhs = LaurentPoly.monomial((n * (n - 1) // 2,) * m, 1)
     for eta in cert.etas:
@@ -238,7 +242,7 @@ class CosetAuditReport:
         }
 
 
-def coset_audit(lam, m, n, outside_sample=None, sigma_sample=None,
+def coset_audit(lam, m, n, outside_sample=None,
                 seed=DEFAULT_SEED, bound=DEFAULT_ENUMERATION_BOUND):
     """Audit the coset structure of the alternating sum for one balanced
     weight.
@@ -247,6 +251,8 @@ def coset_audit(lam, m, n, outside_sample=None, sigma_sample=None,
     to the zero polynomial, and (b) every column element rescales the base
     monomial by a power of zeta_n that is unchanged under the row action.
     """
+    if outside_sample is not None and outside_sample < 1:
+        raise ValueError("outside_sample must be at least 1; zero cosets cannot pass")
     lam = tuple(lam)
     mu, _ = normalize_residue_blocks(shifted_weight(lam), m, n)
     blocks = BlockStructure(m, n)
@@ -274,8 +280,6 @@ def coset_audit(lam, m, n, outside_sample=None, sigma_sample=None,
         omega_powers[eta] = power
 
     sigmas = list(row_subgroup(m, n))
-    if sigma_sample is not None and sigma_sample < len(sigmas):
-        sigmas = rng.sample(sigmas, sigma_sample)
     for eta, ratio in constants.items():
         for sigma in sigmas:
             shuffled = sigma.act(mu)

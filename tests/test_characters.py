@@ -263,6 +263,22 @@ class TestDeterminant:
         assert det_fraction_free([[0, 1], [1, 0]]) == -1
         assert det_fraction_free([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
 
+    def test_one_inverse_per_pivot(self, monkeypatch):
+        calls = []
+        invert = Cyclotomic.inverse
+
+        def counted(self):
+            calls.append(self)
+            return invert(self)
+
+        monkeypatch.setattr(Cyclotomic, "inverse", counted)
+        for size in range(1, 6):
+            rows = [[zeta(7, i * j) + i for j in range(size)] for i in range(size)]
+            calls.clear()
+            value = det_fraction_free([row[:] for row in rows])
+            assert len(calls) <= size - 1
+            assert value == self.det_cofactor(rows)
+
     def test_alternant_at_point_negative_exponents(self):
         value = alternant_at_point((1, -1), [Fraction(2), Fraction(3)])
         assert value == Fraction(2, 3) - Fraction(3, 2)

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import os
@@ -10,7 +11,9 @@ import pytest
 import charfactor
 from charfactor import cli
 from charfactor.cli import main, run_benchmark
-from charfactor.factorize import FactorizationCertificate, verify_numeric
+from charfactor.characters import twisted_numerator
+from charfactor.factorize import (FactorizationCertificate, factorize,
+                                  verify_numeric)
 
 
 def run_cli(capsys, *argv):
@@ -122,12 +125,17 @@ class TestCountValidation:
          "--samples", "0"),
         ("sweep", "--m", "2", "--n", "2", "--min", "0", "--max", "1", "--jobs", "0"),
         ("sweep", "--m", "2", "--n", "2", "--min", "0", "--max", "1", "--jobs", "-1"),
+        ("coset-audit", "--m", "2", "--n", "2", "--lambda", "2,1,1,0",
+         "--outside-sample", "0"),
+        ("coset-audit", "--m", "2", "--n", "2", "--lambda", "2,1,1,0",
+         "--outside-sample", "-1"),
     ])
     def test_counts_below_one_rejected(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the counts were checked")
 
         monkeypatch.setattr(cli, "factorize", refuse)
+        monkeypatch.setattr(cli, "coset_audit", refuse)
         code = main(list(argv))
         captured = capsys.readouterr()
         assert code == 1
@@ -157,6 +165,24 @@ class TestVerifyCommand:
         assert code == 0
         assert out.startswith("numerator:")
         assert "symbolic: pass" in out
+
+    def test_poly_emit_computes_numerator_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return twisted_numerator(*args, **kwargs)
+
+        for name in ("charfactor.cli", "charfactor.factorize"):
+            monkeypatch.setattr(importlib.import_module(name), "twisted_numerator", counted)
+        code, out = run_cli(capsys, "verify", "--m", "3", "--n", "2",
+                            "--lambda", "2,1,1,0,0,0", "--emit", "poly",
+                            "--samples", "1")
+        assert code == 0
+        assert len(calls) == 1
+        mu = factorize((2, 1, 1, 0, 0, 0), 3, 2).mu
+        assert out == (f"numerator: {twisted_numerator(mu, 3, 2)}\n"
+                       "scalar: -8\nsymbolic: pass\nnumeric: pass\n")
 
     def test_bound_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("CHARFACTOR_BOUND", "4")
@@ -245,11 +271,17 @@ class TestSweepCommand:
         assert report["summary"]["failed"] == 0
         assert report["summary"]["balanced"] + report["summary"]["vanishing"] == 5
 
-    def test_empty_range(self, capsys):
-        code, out = run_cli(capsys, "sweep", "--m", "2", "--n", "2",
-                            "--min", "1", "--max", "0")
-        assert code == 0
-        assert json.loads(out)["summary"]["total"] == 0
+    def test_empty_range(self, capsys, monkeypatch):
+        # --min above --max holds no weight, so nothing would be checked
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the range was checked")
+
+        monkeypatch.setattr(cli, "factorize", refuse)
+        code = main(["sweep", "--m", "2", "--n", "2", "--min", "3", "--max", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --min must not exceed --max\n"
 
     def test_csv_emit(self, capsys):
         code, out = run_cli(capsys, "sweep", "--m", "1", "--n", "2",

@@ -138,6 +138,34 @@ class TestFieldOperations:
         assert str(zeta(5, 2) * Fraction(3, 2)) == "3/2*z^2"
 
 
+class TestNormInverse:
+    def test_inverse_at_every_order(self):
+        # the Hypothesis strategy draws orders up to 12 only
+        for order in range(1, 25):
+            deg = field_degree(order)
+            dense = Cyclotomic(order, [Fraction(2 * i + 1, i % 3 + 2) for i in range(deg)])
+            for a in (dense, 1 + zeta(order), zeta(order, -1)):
+                if order == 2 and a == 0:
+                    continue  # 1 + zeta_2 is zero
+                assert a * a.inverse() == 1, (order, a)
+                assert a.inverse().inverse() == a, (order, a)
+
+    def test_non_rational_norm_raises(self, monkeypatch):
+        # with conjugation broken the "norm" is zeta^4, which must not be
+        # divided by its constant coordinate
+        monkeypatch.setattr(Cyclotomic, "galois", lambda self, j: self)
+        with pytest.raises(ValueError, match="not a rational value"):
+            zeta(5).inverse()
+
+    @pytest.mark.parametrize("order,j", [(3, 2), (5, 2), (8, 3), (9, 4), (12, 5), (20, 7)])
+    def test_galois_is_multiplicative(self, order, j):
+        deg = field_degree(order)
+        a = Cyclotomic(order, [Fraction(i - 1, i + 1) for i in range(deg)])
+        b = Cyclotomic(order, [Fraction(3 - 2 * i, 2) for i in range(deg)])
+        assert (a * b).galois(j) == a.galois(j) * b.galois(j)
+        assert zeta(order).galois(j) == zeta(order, j)
+
+
 class TestEmbed:
     def test_rational_passthrough(self):
         assert Cyclotomic.rational(-1, 2).embed(4) == -1

@@ -301,6 +301,12 @@ class TestCosetAudit:
         with pytest.raises(ValueError, match="residue condition fails"):
             coset_audit((1, 0, 0, 0), 2, 2)
 
+    @pytest.mark.parametrize("outside_sample", [0, -1])
+    def test_outside_sample_below_one_rejected(self, outside_sample):
+        # (2, 2) has 2 outside cosets; sampling none of them checks nothing
+        with pytest.raises(ValueError, match="outside_sample must be at least 1"):
+            coset_audit((2, 1, 1, 0), 2, 2, outside_sample=outside_sample)
+
     def test_report_serialization(self):
         report = coset_audit((0, 0, 0, 0), 2, 2)
         data = report.to_dict()
