@@ -2,8 +2,7 @@
 points into products of GL(m) characters, over cyclotomic arithmetic."""
 
 from .cyclotomic import (Cyclotomic, Rational, as_cyclotomic,
-                         cyclotomic_polynomial, field_degree, omega_power_of,
-                         zeta)
+                         cyclotomic_polynomial, field_degree, zeta)
 from .laurent import LaurentPoly, block_specialize
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure,
                     EnumerationTooLarge, Perm, column_row_products,

@@ -24,26 +24,33 @@ from functools import lru_cache
 from math import lcm
 from operator import add
 
-from .cyclotomic import Cyclotomic, as_cyclotomic, zeta
+from .cyclotomic import Cyclotomic, _zeta_power_rows, as_cyclotomic, zeta
 from .laurent import LaurentPoly
 from .perms import (DEFAULT_ENUMERATION_BOUND, Perm, permutation_parity,
                     row_coset_reps)
 from .weights import check_dominant, shifted_weight
 
 
-def _block_minor(values, positions, m, n, arrangements):
+def block_key(places, values, m, n):
+    """The monomial prod x_p^v with x_(k*m+s) = zeta_n^k * t_s, given one
+    place (k, s) per value, as the integer key (t_1..t_m exponents, power
+    of zeta_n mod n)."""
+    key = [0] * (m + 1)
+    for (k, s), v in zip(places, values):
+        key[s] += v
+        key[m] += k * v
+    key[m] %= n
+    return tuple(key)
+
+
+def _block_minor(values, positions, m, n, parities):
     # det(x_p^v), rows p in the 1-based positions and columns v in values,
-    # as integer counts keyed by the t-exponents and then the power of zeta_n
-    # mod n (so a minor with proportional rows cancels to nothing)
+    # as integer counts by `block_key` (so a minor with proportional rows
+    # cancels to nothing); parities follow itertools.permutations order
     places = [divmod(p - 1, m) for p in positions]
     counts = {}
-    for images, parity in arrangements:
-        key = [0] * (m + 1)
-        for (k, s), i in zip(places, images):
-            key[s] += values[i]
-            key[m] += k * values[i]
-        key[m] %= n
-        key = tuple(key)
+    for arranged, parity in zip(itertools.permutations(values), parities):
+        key = block_key(places, arranged, m, n)
         counts[key] = counts.get(key, 0) + parity
     return {key: c for key, c in counts.items() if c}
 
@@ -55,8 +62,8 @@ def _coset_sums(mu, m, n, reps):
     if len(mu) != m * n:
         raise ValueError("mu length must be m*n")
     mu = tuple(mu)
-    arrangements = [(images, permutation_parity(images))
-                    for images in itertools.permutations(range(m))]
+    parities = [permutation_parity(images)
+                for images in itertools.permutations(range(m))]
     minors = {}
     counts = {}
     for rep in reps:
@@ -66,7 +73,7 @@ def _coset_sums(mu, m, n, reps):
             factor = minors.get((start, block))
             if factor is None:
                 factor = minors[start, block] = _block_minor(
-                    mu[start:start + m], block, m, n, arrangements)
+                    mu[start:start + m], block, m, n, parities)
             if not factor:
                 break
             factors.append(factor)
@@ -80,7 +87,7 @@ def _coset_sums(mu, m, n, reps):
                     key = tuple(map(add, ka, kb))
                     product[key] = product.get(key, 0) + ca * cb
             partial = product
-    basis = [[int(c) for c in zeta(n, j).coeffs] for j in range(n)]
+    basis = _zeta_power_rows(n)
     vecs = {}
     for key, cnt in counts.items():
         vec = vecs.setdefault(key[:m], [0] * len(basis[0]))
@@ -260,9 +267,12 @@ def alternant_at_point(exponents, point):
     coords = [as_cyclotomic(x) for x in point]
     if len(coords) != len(exponents):
         raise ValueError("point arity mismatch")
-    if any(e < 0 for e in exponents) and any(not c for c in coords):
+    negative = any(e < 0 for e in exponents)
+    if negative and any(not c for c in coords):
         raise ValueError("pole at evaluation point")
-    return det_fraction_free([[c ** e for e in exponents] for c in coords])
+    inverses = [c.inverse() for c in coords] if negative else coords
+    return det_fraction_free([[c ** e if e >= 0 else inv ** -e for e in exponents]
+                              for c, inv in zip(coords, inverses)])
 
 
 def schur_at_point(lam, point):

@@ -334,8 +334,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
-        # a count below 1 checks nothing, or for --jobs means nothing
-        for flag in ("samples", "jobs", "outside_sample"):
+        # a count below 1 checks nothing, or for --m, --n and --jobs means nothing
+        for flag in ("m", "n", "samples", "jobs", "outside_sample"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")

@@ -287,11 +287,3 @@ def as_cyclotomic(value, order=1):
     if isinstance(value, (int, Fraction)):
         return Cyclotomic.rational(value, order)
     raise TypeError(f"cannot interpret {value!r} as a cyclotomic number")
-
-
-def omega_power_of(value, order):
-    """The exponent j with value == zeta(order, j), or None."""
-    for j in range(order):
-        if value == zeta(order, j):
-            return j
-    return None

@@ -14,13 +14,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, as_cyclotomic, omega_power_of, zeta
-from .laurent import LaurentPoly, block_specialize
+from .cyclotomic import Cyclotomic, as_cyclotomic, zeta
+from .laurent import LaurentPoly
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure,
                     is_column_row_product, row_coset_reps, row_subgroup,
                     column_subgroup)
-from .characters import (alternant, coset_block_sum, coxeter_value,
-                         denominator_scalar, schur_at_point,
+from .characters import (alternant, block_key, coset_block_sum,
+                         coxeter_value, denominator_scalar, schur_at_point,
                          twisted_numerator)
 from .weights import (check_dominant, factor_weights, is_residue_balanced,
                       normalize_residue_blocks, shifted_weight, staircase)
@@ -216,7 +216,6 @@ class CosetAuditReport:
     lam: tuple
     tested_outside: int
     tested_inside: int
-    constants: dict
     omega_powers: dict
     invariance_checked: bool
     failures: list
@@ -234,7 +233,7 @@ class CosetAuditReport:
             "tested_inside": self.tested_inside,
             "constants": [
                 {"perm": list(perm.images), "omega_power": self.omega_powers[perm]}
-                for perm in sorted(self.constants, key=lambda p: p.images)
+                for perm in sorted(self.omega_powers, key=lambda p: p.images)
             ],
             "invariance_checked": self.invariance_checked,
             "failures": list(self.failures),
@@ -267,32 +266,32 @@ def coset_audit(lam, m, n, outside_sample=None,
         if coset_block_sum(mu, m, n, rep):
             failures.append(f"nonzero block sum on the coset of {rep!r}")
 
-    base = block_specialize(mu, m, n)
-    constants = {}
+    places = [divmod(p, m) for p in range(m * n)]
+
+    def omega_power(moved, w):
+        # the p with monomial(moved) = zeta_n^p * monomial(w), or None
+        a, b = block_key(places, moved, m, n), block_key(places, w, m, n)
+        return (a[m] - b[m]) % n if a[:m] == b[:m] else None
+
     omega_powers = {}
     for eta in column_subgroup(m, n):
-        ratio = block_specialize(eta.act(mu), m, n).scalar_ratio(base)
-        power = None if ratio is None else omega_power_of(ratio, n)
+        power = omega_power(eta.act(mu), mu)
         if power is None:
             failures.append(f"column element {eta!r} does not rescale by a root of unity")
             continue
-        constants[eta] = ratio
         omega_powers[eta] = power
 
     sigmas = list(row_subgroup(m, n))
-    for eta, ratio in constants.items():
+    for eta, power in omega_powers.items():
         for sigma in sigmas:
             shuffled = sigma.act(mu)
-            again = block_specialize(eta.act(shuffled), m, n).scalar_ratio(
-                block_specialize(shuffled, m, n))
-            if again != ratio:
+            if omega_power(eta.act(shuffled), shuffled) != power:
                 failures.append(f"constant of {eta!r} changes under row element {sigma!r}")
                 break
 
     return CosetAuditReport(m=m, n=n, lam=lam,
                             tested_outside=len(outside),
-                            tested_inside=len(constants),
-                            constants=constants,
+                            tested_inside=len(omega_powers),
                             omega_powers=omega_powers,
                             invariance_checked=True,
                             failures=failures)

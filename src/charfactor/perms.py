@@ -190,5 +190,4 @@ def row_coset_reps(m, n, bound=DEFAULT_ENUMERATION_BOUND):
             rest = tuple(x for x in remaining if x not in chosen)
             yield from assign(rest, prefix + chosen)
 
-    for flat in assign(tuple(range(1, total + 1)), ()):
-        yield Perm._unchecked(flat)
+    return (Perm._unchecked(flat) for flat in assign(tuple(range(1, total + 1)), ()))

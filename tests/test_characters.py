@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -112,6 +113,16 @@ class TestTwistedNumerator:
     def test_bound(self):
         with pytest.raises(EnumerationTooLarge):
             twisted_numerator(tuple(range(10)), 2, 5)
+
+    def test_bound_checked_before_any_work(self, monkeypatch):
+        # past the bound, not even the S_m arrangements may be listed
+        def refuse(images):
+            raise AssertionError("work started before the bound was checked")
+
+        monkeypatch.setattr(importlib.import_module("charfactor.characters"),
+                            "permutation_parity", refuse)
+        with pytest.raises(EnumerationTooLarge):
+            twisted_numerator(tuple(range(9, -1, -1)), 10, 1)
 
     def test_length_check(self):
         with pytest.raises(ValueError):
@@ -278,6 +289,22 @@ class TestDeterminant:
             value = det_fraction_free([row[:] for row in rows])
             assert len(calls) <= size - 1
             assert value == self.det_cofactor(rows)
+
+    def test_one_inverse_per_coordinate(self, monkeypatch):
+        calls = []
+        invert = Cyclotomic.inverse
+
+        def counted(self):
+            calls.append(self)
+            return invert(self)
+
+        monkeypatch.setattr(Cyclotomic, "inverse", counted)
+        lam = (0, 0, 0, -3, -5, -5)
+        point = [2, 3, 5, 7, 11, 13]
+        value = schur_at_point(lam, point)
+        # 6 coordinates, 5 Bareiss pivots and the final ratio
+        assert len(calls) == 12
+        assert value == schur_polynomial(lam).evaluate(point)
 
     def test_alternant_at_point_negative_exponents(self):
         value = alternant_at_point((1, -1), [Fraction(2), Fraction(3)])

@@ -129,6 +129,12 @@ class TestCountValidation:
          "--outside-sample", "0"),
         ("coset-audit", "--m", "2", "--n", "2", "--lambda", "2,1,1,0",
          "--outside-sample", "-1"),
+        ("denom-check", "--n", "3", "--m", "0"),
+        ("denom-check", "--n", "2", "--m", "-1"),
+        ("denom-check", "--m", "2", "--n", "0"),
+        ("coset-audit", "--lambda", "0,0", "--n", "-2", "--m", "-1"),
+        ("factor", "--m", "2", "--lambda", "0,0", "--n", "0"),
+        ("sweep", "--n", "2", "--min", "0", "--max", "1", "--m", "0"),
     ])
     def test_counts_below_one_rejected(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -136,6 +142,7 @@ class TestCountValidation:
 
         monkeypatch.setattr(cli, "factorize", refuse)
         monkeypatch.setattr(cli, "coset_audit", refuse)
+        monkeypatch.setattr(cli, "twisted_vandermonde_product", refuse)
         code = main(list(argv))
         captured = capsys.readouterr()
         assert code == 1

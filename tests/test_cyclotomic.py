@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charfactor.cyclotomic import (Cyclotomic, as_cyclotomic,
-                                   cyclotomic_polynomial, field_degree,
-                                   omega_power_of, zeta)
+                                   cyclotomic_polynomial, field_degree, zeta)
 
 
 def poly_as_dict(coeffs):
@@ -236,8 +235,3 @@ class TestHelpers:
         assert as_cyclotomic(Fraction(1, 2)).as_fraction() == Fraction(1, 2)
         with pytest.raises(TypeError):
             as_cyclotomic(1.5)
-
-    def test_omega_power_of(self):
-        assert omega_power_of(zeta(6, 4), 6) == 4
-        assert omega_power_of(Cyclotomic.rational(1, 6), 6) == 0
-        assert omega_power_of(Cyclotomic.rational(2, 6), 6) is None

@@ -282,14 +282,49 @@ class TestCosetAudit:
         assert report.tested_inside == 4
         assert report.invariance_checked
         identity = Perm.identity(4)
-        assert report.constants[identity] == 1
+        assert report.omega_powers[identity] == 0
         assert all(0 <= p < 2 for p in report.omega_powers.values())
 
     def test_constants_are_roots_of_unity(self):
+        # oracle: each column constant is the power p of zeta_n with
+        # block_specialize(eta.mu) = zeta_n^p * block_specialize(mu)
+        for m, n, high in ((2, 2, 3), (2, 3, 1), (3, 2, 1), (1, 3, 1), (3, 1, 1)):
+            audited = 0
+            for lam in dominant_weights(m * n, 0, high):
+                if not is_residue_balanced(shifted_weight(lam), m, n):
+                    continue
+                mu, _ = normalize_residue_blocks(shifted_weight(lam), m, n)
+                report = coset_audit(lam, m, n, outside_sample=1)
+                assert report.passed
+                assert report.tested_inside == len(list(column_subgroup(m, n)))
+                base = block_specialize(mu, m, n)
+                for eta, power in report.omega_powers.items():
+                    ratio = block_specialize(eta.act(mu), m, n).scalar_ratio(base)
+                    assert 0 <= power < n
+                    assert ratio == zeta(n, power), (lam, eta)
+                audited += 1
+            assert audited, (m, n)
+
+    def test_column_check_can_fail(self, monkeypatch):
+        # a swap inside one row block moves the t-exponents of mu
+        swap = Perm.transposition(4, 1, 2)
+        monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
+                            "column_subgroup", lambda m, n: iter([swap]))
         report = coset_audit((2, 1, 1, 0), 2, 2)
-        assert report.passed
-        for perm, value in report.constants.items():
-            assert value == zeta(2, report.omega_powers[perm])
+        assert not report.passed
+        assert report.failures == [
+            f"column element {swap!r} does not rescale by a root of unity"]
+
+    def test_row_invariance_check_can_fail(self, monkeypatch):
+        # a transposition across row blocks is not in the row subgroup
+        cross = Perm.transposition(6, 1, 3)
+        monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
+                            "row_subgroup", lambda m, n: iter([cross]))
+        report = coset_audit((0, 0, 0, 0, 0, 0), 2, 3)
+        assert not report.passed
+        assert report.failures
+        assert all("changes under row element " + repr(cross) in failure
+                   for failure in report.failures)
 
     def test_sampled_audit_two_three(self):
         report = coset_audit((0, 0, 0, 0, 0, 0), 2, 3, outside_sample=10)
