@@ -93,7 +93,7 @@ def _coset_sums(mu, m, n, reps):
         vec = vecs.setdefault(key[:m], [0] * len(basis[0]))
         for i, b in enumerate(basis[key[m] % n]):
             vec[i] += cnt * b
-    terms = {texp: Cyclotomic(n, vec) for texp, vec in vecs.items() if any(vec)}
+    terms = {texp: Cyclotomic(n, vec, _den=1) for texp, vec in vecs.items() if any(vec)}
     return LaurentPoly._raw(m, n, terms)
 
 
@@ -223,8 +223,11 @@ def schur_polynomial(lam):
 
 def det_fraction_free(matrix):
     """Exact determinant by fraction-free (Bareiss) elimination with row
-    pivoting; entries may mix rationals and cyclotomic values.  Each
-    pivot is inverted once and the next step multiplies by its inverse."""
+    pivoting; entries may mix rationals and cyclotomic values, all lifted
+    to the lcm of their orders.  Each pivot is inverted once and the next
+    step multiplies by its inverse.  Every Bareiss quotient is a minor of
+    the matrix, so for integral entries (den == 1, as at integer sample
+    points) each intermediate entry and the result stay integral."""
     size = len(matrix)
     if size == 0:
         return Cyclotomic.rational(1)
@@ -252,10 +255,12 @@ def det_fraction_free(matrix):
                 return zero
         pivot = rows[p][p]
         scale = prev.inverse()
+        divides = scale != 1
         for r in range(p + 1, size):
             head = rows[r][p]
             for c in range(p + 1, size):
-                rows[r][c] = (pivot * rows[r][c] - head * rows[p][c]) * scale
+                entry = pivot * rows[r][c] - head * rows[p][c]
+                rows[r][c] = entry * scale if divides else entry
             rows[r][p] = zero
         prev = pivot
     det = rows[-1][-1]
@@ -267,12 +272,24 @@ def alternant_at_point(exponents, point):
     coords = [as_cyclotomic(x) for x in point]
     if len(coords) != len(exponents):
         raise ValueError("point arity mismatch")
-    negative = any(e < 0 for e in exponents)
-    if negative and any(not c for c in coords):
+    top = max((0, *exponents))
+    bottom = -min((0, *exponents))
+    if bottom and any(not c for c in coords):
         raise ValueError("pole at evaluation point")
-    inverses = [c.inverse() for c in coords] if negative else coords
-    return det_fraction_free([[c ** e if e >= 0 else inv ** -e for e in exponents]
-                              for c, inv in zip(coords, inverses)])
+    rows = []
+    for c in coords:
+        up = _power_ladder(c, top)
+        down = _power_ladder(c.inverse(), bottom) if bottom else None
+        rows.append([up[e] if e >= 0 else down[-e] for e in exponents])
+    return det_fraction_free(rows)
+
+
+def _power_ladder(c, top):
+    # c^0, c^1, ..., c^top (at least up to c^1) by one running product
+    powers = [Cyclotomic.rational(1, c.order), c]
+    while len(powers) <= top:
+        powers.append(powers[-1] * c)
+    return powers
 
 
 def schur_at_point(lam, point):

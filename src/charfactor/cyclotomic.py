@@ -2,17 +2,21 @@
 
 An element of order N is a coordinate vector over the power basis
 1, z, ..., z^(phi(N)-1), where z is a fixed primitive N-th root of unity,
-reduced modulo the N-th cyclotomic polynomial.  The representation is
-canonical, so equality is a coefficient comparison and zero-testing is
-exact.  Coordinates are `fractions.Fraction`; nothing here ever touches
-floating point.
+reduced modulo the N-th cyclotomic polynomial, and stored as integer
+numerators over one positive common denominator with no factor shared by
+all of them.  The representation is canonical, so equality is a
+comparison of the stored integers and zero-testing is exact; products,
+sums and conjugates are integer arithmetic followed by one gcd, and
+nothing here ever touches floating point.  Fractions appear only at the
+boundary: `Cyclotomic(order, coeffs)`, `rational`, `coeffs` and
+`as_fraction`.
 
 Values of different orders interoperate through `embed`, which realizes
 Q(zeta_d) inside Q(zeta_N) for d | N via zeta_d -> zeta_N^(N/d); binary
 operations lift both operands into the compound field of order
 lcm(a.order, b.order) automatically.  The Galois conjugations
 zeta -> zeta^j are the same power map, and division multiplies by the
-other conjugates over the norm, a rational number.
+other conjugates over the norm, an integer for the integral numerator.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, sub
 
 Rational = Fraction
 
@@ -82,120 +87,186 @@ def _zeta_power_rows(order):
     return rows
 
 
-def _power_map(coeffs, order, step):
+@lru_cache(maxsize=None)
+def _sparse_power_rows(order):
+    # the rows of `_zeta_power_rows` as (index, coefficient) pairs of the
+    # nonzero entries
+    return [tuple((i, r) for i, r in enumerate(row) if r)
+            for row in _zeta_power_rows(order)]
+
+
+def _power_map(num, order, step):
     # sum_j c_j * zeta_order^(j*step), each power reduced through the table
-    rows = _zeta_power_rows(order)
-    out = [Fraction(0)] * field_degree(order)
-    for j, c in enumerate(coeffs):
+    rows = _sparse_power_rows(order)
+    out = [0] * field_degree(order)
+    for j, c in enumerate(num):
         if c:
-            for i, r in enumerate(rows[(j * step) % order]):
-                if r:
-                    out[i] += c * r
+            for i, r in rows[(j * step) % order]:
+                out[i] += c * r
     return out
 
 
 class Cyclotomic:
-    """An element of Q(zeta_order) in canonical reduced form.
+    """An element of Q(zeta_order) in canonical reduced form: integer
+    coordinates `num` over the power basis and one positive common
+    denominator `den`, with gcd(den, *num) == 1 (so den == 1 exactly for
+    the algebraic integers of Z[zeta_order]).
 
-    Instances are immutable, so they are safe to share across threads;
-    all operations return new values.
+    `Cyclotomic(order, coeffs)` takes ints or Fractions; `coeffs` reads
+    the coordinates back as Fractions.  Instances are immutable, so they
+    are safe to share across threads; all operations return new values.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
-    def __init__(self, order, coeffs):
-        deg = field_degree(order)
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
-        if len(coeffs) != deg:
-            raise ValueError(f"order {order} needs {deg} coordinates, got {len(coeffs)}")
+    def __init__(self, order, coeffs, _den=None):
+        # _den: internal fast path; coeffs are then integer numerators over
+        # the positive _den, reduced here by their common gcd
+        if _den is None:
+            deg = field_degree(order)
+            coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+            if len(coeffs) != deg:
+                raise ValueError(f"order {order} needs {deg} coordinates, got {len(coeffs)}")
+            _den = lcm(*(c.denominator for c in coeffs))
+            coeffs = [c.numerator * (_den // c.denominator) for c in coeffs]
+        elif _den != 1:
+            g = gcd(_den, *coeffs)
+            if g != 1:
+                _den //= g
+                coeffs = [c // g for c in coeffs]
         self.order = order
-        self.coeffs = coeffs
+        self.num = tuple(coeffs)
+        self.den = _den
 
     @classmethod
     def rational(cls, value, order=1):
-        deg = field_degree(order)
-        return cls(order, (Fraction(value),) + (Fraction(0),) * (deg - 1))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return cls(order, (value.numerator,) + (0,) * (field_degree(order) - 1),
+                   _den=value.denominator)
+
+    @property
+    def coeffs(self):
+        """The coordinates over the power basis, as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     def _pair(self, other):
+        if isinstance(other, Cyclotomic):
+            if self.order == other.order:
+                return self, other
+            target = lcm(self.order, other.order)
+            return self.embed(target), other.embed(target)
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.rational(other, self.order)
-        elif not isinstance(other, Cyclotomic):
-            return None
-        if self.order == other.order:
-            return self, other
-        target = lcm(self.order, other.order)
-        return self.embed(target), other.embed(target)
+            return self, Cyclotomic.rational(other, self.order)
+        return None
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        # op(self, other) for op in (operator.add, operator.sub), over the
+        # lcm of the two denominators
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return Cyclotomic(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        if da == db:
+            num = list(map(op, a.num, b.num))
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g
+            num = [op(x * ma, y * mb) for x, y in zip(a.num, b.num)]
+            da *= ma
+        return Cyclotomic(a.order, num, _den=da)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-x for x in self.coeffs))
+        return Cyclotomic(self.order, [-x for x in self.num], _den=self.den)
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Cyclotomic(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, tuple(x * other for x in self.coeffs))
-        pair = self._pair(other)
-        if pair is None:
+        if isinstance(other, Cyclotomic):
+            if self.order == other.order:
+                a, b = self, other
+            else:
+                a, b = self._pair(other)
+        elif isinstance(other, int):
+            return Cyclotomic(self.order, [x * other for x in self.num], _den=self.den)
+        elif isinstance(other, Fraction):
+            scale = other.numerator
+            return Cyclotomic(self.order, [x * scale for x in self.num],
+                              _den=self.den * other.denominator)
+        else:
             return NotImplemented
-        a, b = pair
-        deg = len(a.coeffs)
+        an, bn = a.num, b.num
+        deg = len(an)
         if deg == 1:
-            return Cyclotomic(a.order, (a.coeffs[0] * b.coeffs[0],))
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, x in enumerate(a.coeffs):
+            return Cyclotomic(a.order, (an[0] * bn[0],), _den=a.den * b.den)
+        prod = [0] * (2 * deg - 1)
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for k, y in enumerate(bn, i):
                     if y:
-                        prod[i + j] += x * y
-        rows = _zeta_power_rows(a.order)
+                        prod[k] += x * y
+        rows = _sparse_power_rows(a.order)
         out = prod[:deg]
         for k in range(deg, 2 * deg - 1):
             c = prod[k]
             if c:
-                for j, r in enumerate(rows[k]):
-                    if r:
-                        out[j] += c * r
-        return Cyclotomic(a.order, tuple(out))
+                for j, r in rows[k]:
+                    out[j] += c * r
+        return Cyclotomic(a.order, out, _den=a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse: the product of the Galois conjugates
-        sigma_j(self), 1 < j < order coprime to it, over the norm (self times
-        that product), read by `as_fraction`, which raises unless rational."""
+        """Multiplicative inverse: den times the product of the Galois
+        conjugates sigma_j(num), 1 < j < order coprime to it, over the norm
+        of num (num times that product), read by `as_fraction`, which
+        raises unless rational.  num is integral, so every product is.
+
+        The conjugates pair up under sigma_-1: the product is sigma_-1(num)
+        times sigma_j(num * sigma_-1(num)) over the j in 1 < j < order / 2,
+        about phi(order) / 2 products."""
         if not self:
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        others = Cyclotomic.rational(1, self.order)
-        for j in range(2, self.order):
-            if gcd(j, self.order) == 1:
-                others = others * self.galois(j)
-        return others / (self * others).as_fraction()
+        order = self.order
+        whole = self if self.den == 1 else Cyclotomic(order, self.num, _den=1)
+        if order <= 2:
+            others, norm = Cyclotomic.rational(1, order), whole
+        else:
+            others = whole.galois(order - 1)
+            norm = whole * others
+            rest = None
+            for j in range(2, (order + 1) // 2):
+                if gcd(j, order) == 1:
+                    sigma = norm.galois(j)
+                    rest = sigma if rest is None else rest * sigma
+            if rest is not None:
+                others, norm = others * rest, norm * rest
+        norm = norm.as_fraction()
+        scale = self.den * norm.denominator
+        den = others.den * norm.numerator
+        if den < 0:
+            den, scale = -den, -scale
+        return Cyclotomic(order, [x * scale for x in others.num], _den=den)
 
     def __truediv__(self, other):
+        if isinstance(other, Cyclotomic):
+            return self * other.inverse()
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero in cyclotomic field")
-            return Cyclotomic(self.order, tuple(x / other for x in self.coeffs))
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
-        return self * other.inverse()
+            return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -222,31 +293,32 @@ class Cyclotomic:
             return self
         if order % self.order:
             raise ValueError(f"cannot embed order {self.order} into order {order}")
-        return Cyclotomic(order, _power_map(self.coeffs, order, order // self.order))
+        return Cyclotomic(order, _power_map(self.num, order, order // self.order),
+                          _den=self.den)
 
     def galois(self, j):
         """Image under the automorphism sigma_j: zeta -> zeta^j of
         Q(zeta_order); j must be coprime to the order."""
-        return Cyclotomic(self.order, _power_map(self.coeffs, self.order, j))
+        return Cyclotomic(self.order, _power_map(self.num, self.order, j), _den=self.den)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     @property
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self):
         if not self.is_rational:
             raise ValueError(f"not a rational value: {self}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __str__(self):
         parts = []
@@ -276,8 +348,7 @@ class Cyclotomic:
 
 def zeta(order, power=1):
     """zeta_order raised to the given power (taken mod order), reduced."""
-    row = _zeta_power_rows(order)[power % order]
-    return Cyclotomic(order, row)
+    return Cyclotomic(order, _zeta_power_rows(order)[power % order], _den=1)
 
 
 def as_cyclotomic(value, order=1):

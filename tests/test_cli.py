@@ -191,6 +191,15 @@ class TestVerifyCommand:
         assert out == (f"numerator: {twisted_numerator(mu, 3, 2)}\n"
                        "scalar: -8\nsymbolic: pass\nnumeric: pass\n")
 
+    def test_poly_emit_pins_non_rational_numerator(self, capsys):
+        # n = 3 and odd m: the coefficients lie in Q(zeta_3) but not in Q
+        code, out = run_cli(capsys, "verify", "--m", "1", "--n", "3",
+                            "--lambda", "2,1,0", "--emit", "poly", "--samples", "1")
+        assert code == 0
+        assert out == ("numerator: (-3 - 6*z) * t1^6\n"
+                       "scalar: -3 - 6*z\n"
+                       "symbolic: pass\nnumeric: pass\n")
+
     def test_bound_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("CHARFACTOR_BOUND", "4")
         code, _ = run_cli(capsys, "verify", "--m", "2", "--n", "3",

@@ -1,10 +1,12 @@
 import cmath
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charfactor.characters import det_fraction_free
 from charfactor.cyclotomic import (Cyclotomic, as_cyclotomic,
                                    cyclotomic_polynomial, field_degree, zeta)
 
@@ -136,6 +138,11 @@ class TestFieldOperations:
         assert str(1 - zeta(4)) == "1 - z"
         assert str(zeta(5, 2) * Fraction(3, 2)) == "3/2*z^2"
 
+    def test_str_non_integral(self):
+        assert str(Cyclotomic(5, [Fraction(5, 4), 0, Fraction(-3, 2), 0])) == "5/4 - 3/2*z^2"
+        assert str(Cyclotomic(5, [0, Fraction(-1, 3), 0, Fraction(7, 2)])) == "-1/3*z + 7/2*z^3"
+        assert repr((1 + zeta(3)) / 6) == "Cyclotomic(3, 1/6 + 1/6*z)"
+
 
 class TestNormInverse:
     def test_inverse_at_every_order(self):
@@ -235,3 +242,149 @@ class TestHelpers:
         assert as_cyclotomic(Fraction(1, 2)).as_fraction() == Fraction(1, 2)
         with pytest.raises(TypeError):
             as_cyclotomic(1.5)
+
+
+# Fraction schoolbook oracle: coordinate lists over the power basis, with
+# every power of z reduced by long division by the cyclotomic polynomial.
+# It shares nothing with the integer arithmetic of `Cyclotomic` but the
+# polynomial itself.
+
+def oracle_reduce(poly, order):
+    modulus = cyclotomic_polynomial(order)
+    degree = len(modulus) - 1
+    rem = [Fraction(c) for c in poly] + [Fraction(0)] * max(0, degree - len(poly))
+    for k in range(len(rem) - 1, degree - 1, -1):
+        c = rem[k]
+        if c:
+            for j, d in enumerate(modulus):
+                rem[k - degree + j] -= c * d
+    return rem[:degree]
+
+
+def oracle_mul(a, b, order):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return oracle_reduce(prod, order)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_zeta_power(order, k):
+    return tuple(oracle_reduce([0] * k + [1], order))
+
+
+def oracle_power_map(a, order, step):
+    # sum_j a_j z^(j * step) in Q(zeta_order)
+    out = [Fraction(0)] * field_degree(order)
+    for j, c in enumerate(a):
+        for i, r in enumerate(oracle_zeta_power(order, (j * step) % order)):
+            if r:
+                out[i] += c * r
+    return out
+
+
+def assert_canonical(value):
+    assert value.den > 0
+    assert math.gcd(value.den, *value.num) == 1
+    assert all(isinstance(c, int) for c in value.num)
+
+
+coordinates = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.builds(Fraction, st.integers(min_value=-10 ** 24, max_value=10 ** 24),
+              st.integers(min_value=1, max_value=10 ** 6)),
+)
+
+
+def coordinate_lists(order):
+    deg = field_degree(order)
+    return st.lists(coordinates, min_size=deg, max_size=deg)
+
+
+class TestFractionOracle:
+    @pytest.mark.parametrize("order", range(1, 25))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_field_operations(self, order, data):
+        u = data.draw(coordinate_lists(order))
+        v = data.draw(coordinate_lists(order))
+        a, b = Cyclotomic(order, u), Cyclotomic(order, v)
+        assert a.coeffs == tuple(Fraction(x) for x in u)
+        results = {
+            "product": (a * b, oracle_mul(u, v, order)),
+            "sum": (a + b, [x + y for x, y in zip(u, v)]),
+            "difference": (a - b, [x - y for x, y in zip(u, v)]),
+            "negation": (-a, [-x for x in u]),
+        }
+        if any(u):
+            # the inverse is the unique v with u * v == 1
+            inverse = a.inverse()
+            one = [Fraction(int(i == 0)) for i in range(len(u))]
+            assert oracle_mul(u, inverse.coeffs, order) == one
+            assert_canonical(inverse)
+        for j in range(1, order):
+            if math.gcd(j, order) == 1:
+                results[f"galois {j}"] = (a.galois(j), oracle_power_map(u, order, j))
+        for k in (2, 3):
+            results[f"embed {order * k}"] = (a.embed(order * k),
+                                             oracle_power_map(u, order * k, k))
+        for name, (value, expected) in results.items():
+            assert value.coeffs == tuple(expected), name
+            assert_canonical(value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+           st.data())
+    def test_mixed_orders_meet_in_the_compound_field(self, d, e, data):
+        u = data.draw(coordinate_lists(d))
+        v = data.draw(coordinate_lists(e))
+        order = math.lcm(d, e)
+        lifted_u = oracle_power_map(u, order, order // d)
+        lifted_v = oracle_power_map(v, order, order // e)
+        value = Cyclotomic(d, u) * Cyclotomic(e, v)
+        assert value.order == order
+        assert value.coeffs == tuple(oracle_mul(lifted_u, lifted_v, order))
+        assert_canonical(value)
+
+
+class TestCanonicalForm:
+    def test_same_value_same_fields(self):
+        third = Fraction(1, 3)
+        builds = [
+            Cyclotomic(8, [Fraction(3, 4), 0, 0, 0]),
+            Cyclotomic.rational(Fraction(3, 4), 8),
+            Cyclotomic.rational(Fraction(6, 8), 8),
+            Cyclotomic.rational(3, 8) / 4,
+            Cyclotomic.rational(third, 8) * Fraction(9, 4),
+            zeta(8) * zeta(8, 7) * Fraction(3, 4),
+            Cyclotomic.rational(Fraction(5, 4), 8) - Fraction(1, 2),
+            Cyclotomic.rational(4, 8).inverse() * 3,
+            Cyclotomic.rational(Fraction(3, 4), 2).embed(8),
+        ]
+        for value in builds:
+            assert (value.order, value.num, value.den) == (8, (3, 0, 0, 0), 4), value
+            assert_canonical(value)
+
+    def test_non_rational_and_zero_values(self):
+        half_sum = [
+            Cyclotomic(12, [Fraction(1, 2), Fraction(1, 2), 0, 0]),
+            (zeta(12) + 1) / 2,
+            zeta(12) * Fraction(1, 2) + Fraction(1, 2),
+            (zeta(12) * 3 + 3) * Cyclotomic.rational(6, 12).inverse(),
+        ]
+        for value in half_sum:
+            assert (value.num, value.den) == ((1, 1, 0, 0), 2), value
+        a = Cyclotomic(7, [Fraction(1, 4), Fraction(-5, 6), 0, 2, 0, Fraction(1, 9)])
+        for zero in (a - a, a * 0, a + (-a), Cyclotomic(7, [0] * 6)):
+            assert (zero.num, zero.den) == ((0,) * 6, 1)
+        assert (a * a.inverse()).num == (1, 0, 0, 0, 0, 0)
+        assert (a * a.inverse()).den == 1
+
+    def test_integer_determinant_stays_integral(self):
+        rows = [[zeta(8, i * j) + i - j for j in range(5)] for i in range(5)]
+        value = det_fraction_free(rows)
+        assert value.den == 1
+        assert_canonical(value)
+        assert value == det_fraction_free([[x * 2 for x in row] for row in rows]) / 32
