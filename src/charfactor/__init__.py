@@ -1,8 +1,8 @@
 """Exact factorization of GL(mn) characters at root-of-unity twisted torus
 points into products of GL(m) characters, over cyclotomic arithmetic."""
 
-from .cyclotomic import (Cyclotomic, Rational, as_cyclotomic,
-                         cyclotomic_polynomial, field_degree, zeta)
+from .cyclotomic import (Cyclotomic, as_cyclotomic, cyclotomic_polynomial,
+                         field_degree, zeta)
 from .laurent import LaurentPoly, block_specialize
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure,
                     EnumerationTooLarge, Perm, column_row_products,

@@ -5,10 +5,11 @@ primitive n-th root of unity: coordinate k*m+s carries zeta_n^k * t_s.
 Everything here is exact over Q(zeta_N).
 
 The alternating sums (`twisted_numerator`, `coset_block_sum`, `alternant`)
-share one route, generalized Laplace expansion along the blocks of the
-exponent vector: each left coset of the row subgroup contributes its sign
-times a product of m x m minors, each enumerated over S_m.  The brute-force
-(mn)! and row-subgroup sums are test oracles.
+share one route, the row-set expansion: generalized Laplace expansion along
+the n blocks of the exponent vector in order, each block picking m of the
+rows still free and multiplying by their m x m minor (enumerated over S_m),
+with the expansions that leave the same rows free summed before the next
+block.  The brute-force (mn)! and row-subgroup sums are test oracles.
 
 Two independent evaluation routes for characters are kept side by side on
 purpose.  The tableau route builds the character as an explicit Laurent
@@ -24,10 +25,11 @@ from functools import lru_cache
 from math import lcm
 from operator import add
 
-from .cyclotomic import Cyclotomic, _zeta_power_rows, as_cyclotomic, zeta
+from .cyclotomic import (Cyclotomic, _sparse_power_rows, as_cyclotomic,
+                         field_degree, zeta)
 from .laurent import LaurentPoly
-from .perms import (DEFAULT_ENUMERATION_BOUND, Perm, permutation_parity,
-                    row_coset_reps)
+from .perms import (DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge,
+                    permutation_parity)
 from .weights import check_dominant, shifted_weight
 
 
@@ -43,85 +45,86 @@ def block_key(places, values, m, n):
     return tuple(key)
 
 
-def _block_minor(values, positions, m, n, parities):
-    # det(x_p^v), rows p in the 1-based positions and columns v in values,
-    # as integer counts by `block_key` (so a minor with proportional rows
-    # cancels to nothing); parities follow itertools.permutations order
-    places = [divmod(p - 1, m) for p in positions]
+@lru_cache(maxsize=None)
+def _parities(m):
+    # parities of the arrangements of range(m), in itertools.permutations order
+    return tuple(map(permutation_parity, itertools.permutations(range(m))))
+
+
+def _block_minor(values, rows, m, n):
+    # det(x_p^v), p in the 1-based rows and v in values, as integer counts
+    # by `block_key` (so a minor with proportional rows cancels to nothing)
+    places = [divmod(p - 1, m) for p in rows]
     counts = {}
-    for arranged, parity in zip(itertools.permutations(values), parities):
+    for arranged, parity in zip(itertools.permutations(values), _parities(m)):
         key = block_key(places, arranged, m, n)
         counts[key] = counts.get(key, 0) + parity
     return {key: c for key, c in counts.items() if c}
 
 
-def _coset_sums(mu, m, n, reps):
-    # generalized Laplace expansion along the n blocks of mu: the coset of
-    # each rep adds rep.sign * prod_k det(x_p^v), v in block k of mu and p in
-    # rep(block k); the counts are reduced to Q(zeta_n) once, at the end
+def _row_set_expansion(mu, m, n, rows=None):
+    # a state is the tuple of rows still free, its value the signed partial
+    # sum as `block_key` counts; the block of mu at k picks m free rows (any
+    # m, or the set rows[k:k+m]), multiplies by their minor and takes the
+    # sign from how many free rows the chosen ones jump over
     if len(mu) != m * n:
         raise ValueError("mu length must be m*n")
-    mu = tuple(mu)
-    parities = [permutation_parity(images)
-                for images in itertools.permutations(range(m))]
-    minors = {}
-    counts = {}
-    for rep in reps:
-        factors = []
-        for start in range(0, m * n, m):
-            block = rep.images[start:start + m]
-            factor = minors.get((start, block))
-            if factor is None:
-                factor = minors[start, block] = _block_minor(
-                    mu[start:start + m], block, m, n, parities)
-            if not factor:
-                break
-            factors.append(factor)
-        if len(factors) < n:
-            continue
-        partial = {(0,) * (m + 1): rep.sign}
-        for k, factor in enumerate(factors, 1):
-            product = counts if k == n else {}
-            for ka, ca in partial.items():
-                for kb, cb in factor.items():
-                    key = tuple(map(add, ka, kb))
-                    product[key] = product.get(key, 0) + ca * cb
-            partial = product
-    basis = _zeta_power_rows(n)
+    jumps = m * (m - 1) // 2
+    states = {tuple(range(1, m * n + 1)): {(0,) * (m + 1): 1}}
+    for k in range(0, m * n, m):
+        minors, following = {}, {}
+        for free, partial in states.items():
+            picks = ((tuple(sorted(rows[k:k + m])),) if rows
+                     else itertools.combinations(free, m))
+            for chosen in picks:
+                minor = minors.get(chosen)
+                if minor is None:
+                    minor = minors[chosen] = _block_minor(mu[k:k + m], chosen, m, n)
+                if not minor:
+                    continue
+                sign = -1 if (sum(map(free.index, chosen)) - jumps) & 1 else 1
+                target = following.setdefault(tuple(p for p in free if p not in chosen), {})
+                for ka, ca in partial.items():
+                    ca *= sign
+                    for kb, cb in minor.items():
+                        key = tuple(map(add, ka, kb))
+                        target[key] = target.get(key, 0) + ca * cb
+        states = following
+    # reduce the counts to Q(zeta_n), once
     vecs = {}
-    for key, cnt in counts.items():
-        vec = vecs.setdefault(key[:m], [0] * len(basis[0]))
-        for i, b in enumerate(basis[key[m] % n]):
-            vec[i] += cnt * b
+    for key, cnt in states.get((), {}).items():
+        vec = vecs.setdefault(key[:m], [0] * field_degree(n))
+        for i, r in _sparse_power_rows(n)[key[m] % n]:
+            vec[i] += cnt * r
     terms = {texp: Cyclotomic(n, vec, _den=1) for texp, vec in vecs.items() if any(vec)}
     return LaurentPoly._raw(m, n, terms)
 
 
 def coset_block_sum(mu, m, n, rep):
     """Signed sum of the block-specialized monomials of mu over the left
-    coset of the row subgroup represented by rep: rep.sign times the
-    product of the m x m minors det(x_p^v), v in block k of mu and p in
-    rep(block k) (generalized Laplace expansion; it holds for any mu)."""
-    return _coset_sums(mu, m, n, [rep])
+    coset of the row subgroup represented by rep: the row-set expansion
+    with block k of mu fixed to the rows rep(block k); it holds for any mu."""
+    return _row_set_expansion(mu, m, n, rep.images)
 
 
 def twisted_numerator(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
     """The twisted alternant det(x_p^(mu_j)), x_(k*m+s) = zeta_n^k * t_s:
-    the sum of `coset_block_sum` over the left cosets of the row subgroup.
+    the row-set expansion with every block free to pick any m rows.
 
     The result is an exact Laurent polynomial in t_1..t_m over Q(zeta_n).
     It is antisymmetric in mu; it collapses to the zero polynomial exactly
     when the residue classes of mu mod n are not uniformly filled.
     """
-    return _coset_sums(mu, m, n, row_coset_reps(m, n, bound=bound))
+    if m * n > bound:
+        raise EnumerationTooLarge(f"S_{m * n} exceeds the enumeration bound {bound}")
+    return _row_set_expansion(mu, m, n)
 
 
 def alternant(exponents):
     """det(t_s^(e_j)), the alternating sum over all arrangements of the
-    exponent vector, as a Laurent polynomial: the case n = 1 of
-    `coset_block_sum`."""
-    size = len(exponents)
-    return _coset_sums(exponents, size, 1, [Perm.identity(size)])
+    exponent vector, as a Laurent polynomial: the case n = 1 of the
+    row-set expansion."""
+    return _row_set_expansion(exponents, len(exponents), 1)
 
 
 def twisted_vandermonde_product(m, n):
@@ -224,10 +227,11 @@ def schur_polynomial(lam):
 def det_fraction_free(matrix):
     """Exact determinant by fraction-free (Bareiss) elimination with row
     pivoting; entries may mix rationals and cyclotomic values, all lifted
-    to the lcm of their orders.  Each pivot is inverted once and the next
-    step multiplies by its inverse.  Every Bareiss quotient is a minor of
-    the matrix, so for integral entries (den == 1, as at integer sample
-    points) each intermediate entry and the result stay integral."""
+    to the lcm of their orders.  Each pivot but the last is inverted once
+    and the next step multiplies by its inverse; the first step divides by
+    nothing.  Every Bareiss quotient is a minor of the matrix, so for
+    integral entries (den == 1, as at integer sample points) each
+    intermediate entry and the result stay integral."""
     size = len(matrix)
     if size == 0:
         return Cyclotomic.rational(1)
@@ -242,7 +246,6 @@ def det_fraction_free(matrix):
         rows.append(row)
     rows = [[x.embed(order) for x in row] for row in rows]
     sign = 1
-    prev = Cyclotomic.rational(1, order)
     zero = Cyclotomic.rational(0, order)
     for p in range(size - 1):
         if not rows[p][p]:
@@ -254,15 +257,13 @@ def det_fraction_free(matrix):
             else:
                 return zero
         pivot = rows[p][p]
-        scale = prev.inverse()
-        divides = scale != 1
+        scale = rows[p - 1][p - 1].inverse() if p else None
         for r in range(p + 1, size):
             head = rows[r][p]
             for c in range(p + 1, size):
                 entry = pivot * rows[r][c] - head * rows[p][c]
-                rows[r][c] = entry * scale if divides else entry
+                rows[r][c] = entry * scale if p else entry
             rows[r][p] = zero
-        prev = pivot
     det = rows[-1][-1]
     return -det if sign < 0 else det
 

@@ -26,8 +26,6 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, sub
 
-Rational = Fraction
-
 
 def _exact_div(num, den):
     # num, den: integer coefficient lists, ascending degree, den monic;
