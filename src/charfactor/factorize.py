@@ -10,16 +10,19 @@ numerically (exact equality at random rational points) and symbolically
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, gcd
+from operator import mul
 
 from .cyclotomic import Cyclotomic, as_cyclotomic, zeta
 from .laurent import LaurentPoly
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure,
-                    is_column_row_product, row_coset_reps, row_subgroup,
-                    column_subgroup)
-from .characters import (alternant, block_key, coset_block_sum,
+                    EnumerationTooLarge, Perm, is_column_row_product,
+                    row_coset_reps, column_subgroup)
+from .characters import (alternant, coset_block_sum,
                          coxeter_value, denominator_scalar, schur_at_point,
                          twisted_numerator)
 from .weights import (check_dominant, factor_weights, is_residue_balanced,
@@ -241,6 +244,50 @@ class CosetAuditReport:
         }
 
 
+def _sample_outside_cosets(m, n, count, rng):
+    # count distinct row-subgroup cosets with no column-row representative,
+    # each drawn uniformly: shuffle the positions, sort each row block's
+    # images into the canonical representative, reject column-row draws
+    # and repeats
+    blocks = BlockStructure(m, n)
+    images = list(range(1, m * n + 1))
+    drawn = {}
+    while len(drawn) < count:
+        rng.shuffle(images)
+        rep = Perm(x for k in range(0, m * n, m) for x in sorted(images[k:k + m]))
+        if rep not in drawn and not is_column_row_product(rep, blocks):
+            drawn[rep] = None
+    return list(drawn)
+
+
+def _t_shift(cols, values, m):
+    # t-exponents of eta.values minus those of values, where eta carries
+    # the value at position p from column p % m to column cols[p]
+    t = [0] * m
+    for p, (col, v) in enumerate(zip(cols, values)):
+        t[col] += v
+        t[p % m] -= v
+    return t
+
+
+def _breaking_row_element(cols, rows, mu, m, n):
+    # The first row element permuting one row block whose arrangement of mu
+    # has another key shift than mu.  The shift adds up over the row
+    # blocks, so when the row subgroup moves it, one such element does.
+    # Every row arrangement of mu has the power of zeta_n of key(mu), so
+    # that of key(eta.values) stands for the power of the shift.
+    def shift(values):
+        return _t_shift(cols, values, m), sum(map(mul, rows, values)) % n
+
+    images = list(range(1, m * n + 1))
+    for q in range(0, m * n, m):
+        for block in itertools.permutations(images[q:q + m]):
+            sigma = Perm(images[:q] + list(block) + images[q + m:])
+            if shift(sigma.act(mu)) != shift(mu):
+                return sigma
+    raise RuntimeError("the row subgroup leaves the key shift alone")
+
+
 def coset_audit(lam, m, n, outside_sample=None,
                 seed=DEFAULT_SEED, bound=DEFAULT_ENUMERATION_BOUND):
     """Audit the coset structure of the alternating sum for one balanced
@@ -249,49 +296,66 @@ def coset_audit(lam, m, n, outside_sample=None,
     Checks (a) every sampled coset with no column-row representative sums
     to the zero polynomial, and (b) every column element rescales the base
     monomial by a power of zeta_n that is unchanged under the row action.
+
+    (a) walks every row-subgroup coset, or, when outside_sample is below
+    the (mn)!/(m!)^n - (n!)^m outside cosets, draws that many distinct ones
+    with a Random seeded by seed, without listing the rest.  (b) is in
+    closed form: for a column element eta, key(eta.w) - key(w) is linear in
+    the arrangement w, with coefficients read off eta in one pass, so the
+    constant is a dot product with mu and its row invariance a condition on
+    each row block's value differences.  m*n above bound raises
+    EnumerationTooLarge before any coset is summed.
     """
     if outside_sample is not None and outside_sample < 1:
         raise ValueError("outside_sample must be at least 1; zero cosets cannot pass")
     lam = tuple(lam)
     mu, _ = normalize_residue_blocks(shifted_weight(lam), m, n)
-    blocks = BlockStructure(m, n)
-    rng = random.Random(seed)
+    if m * n > bound:
+        raise EnumerationTooLarge(f"S_{m * n} exceeds the enumeration bound {bound}")
     failures = []
 
-    outside = [rep for rep in row_coset_reps(m, n, bound=bound)
-               if not is_column_row_product(rep, blocks)]
-    if outside_sample is not None and outside_sample < len(outside):
-        outside = rng.sample(outside, outside_sample)
+    if outside_sample is not None and \
+            outside_sample < factorial(m * n) // factorial(m) ** n - factorial(n) ** m:
+        outside = _sample_outside_cosets(m, n, outside_sample, random.Random(seed))
+    else:
+        blocks = BlockStructure(m, n)
+        outside = [rep for rep in row_coset_reps(m, n, bound=bound)
+                   if not is_column_row_product(rep, blocks)]
     for rep in outside:
         if coset_block_sum(mu, m, n, rep):
             failures.append(f"nonzero block sum on the coset of {rep!r}")
 
-    places = [divmod(p, m) for p in range(m * n)]
-
-    def omega_power(moved, w):
-        # the p with monomial(moved) = zeta_n^p * monomial(w), or None
-        a, b = block_key(places, moved, m, n), block_key(places, w, m, n)
-        return (a[m] - b[m]) % n if a[:m] == b[:m] else None
-
+    # key(eta.w) - key(w) is linear in the arrangement w: the value at
+    # position p moves its t-exponent from column p % m to cols[p] and adds
+    # rows[p] - p // m times itself to the power of zeta_n, where cols[p]
+    # and rows[p] place eta(p).  The shift is fixed by the whole row
+    # subgroup exactly when no swap inside a row block changes it on any
+    # arrangement: in each row block with unequal values, no value changes
+    # column and rows[p] times the gcd of the block's value differences
+    # (spread_at[p]) is one residue mod n.
+    col_at = [p % m for p in range(m * n)]
+    first_at = [p - p % m for p in range(m * n)]
+    spread_at = [gcd(*(mu[p] - mu[q] for p in range(q, q + m))) for q in first_at]
+    base = sum(p // m * v for p, v in enumerate(mu))
     omega_powers = {}
+    changed = []
     for eta in column_subgroup(m, n):
-        power = omega_power(eta.act(mu), mu)
-        if power is None:
+        cols = [(q - 1) % m for q in eta.images]
+        rows = [(q - 1) // m for q in eta.images]
+        moved = cols != col_at
+        if moved and any(_t_shift(cols, mu, m)):
             failures.append(f"column element {eta!r} does not rescale by a root of unity")
             continue
-        omega_powers[eta] = power
-
-    sigmas = list(row_subgroup(m, n))
-    for eta, power in omega_powers.items():
-        for sigma in sigmas:
-            shuffled = sigma.act(mu)
-            if omega_power(eta.act(shuffled), shuffled) != power:
-                failures.append(f"constant of {eta!r} changes under row element {sigma!r}")
-                break
+        omega_powers[eta] = (sum(map(mul, rows, mu)) - base) % n
+        scaled = [r * g % n for r, g in zip(rows, spread_at)]
+        if scaled != [scaled[q] for q in first_at] or (moved and any(
+                g and c != c0 for c, c0, g in zip(cols, col_at, spread_at))):
+            sigma = _breaking_row_element(cols, rows, mu, m, n)
+            changed.append(f"constant of {eta!r} changes under row element {sigma!r}")
 
     return CosetAuditReport(m=m, n=n, lam=lam,
                             tested_outside=len(outside),
                             tested_inside=len(omega_powers),
                             omega_powers=omega_powers,
-                            invariance_checked=True,
-                            failures=failures)
+                            invariance_checked=bool(omega_powers),
+                            failures=failures + changed)

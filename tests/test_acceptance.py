@@ -5,8 +5,11 @@ lines and timings.  Everything here is exact arithmetic; the stated time
 budgets are hard limits.
 """
 
+import hashlib
 import math
 import time
+
+import pytest
 
 from charfactor.perms import (BlockStructure, column_row_products,
                               is_column_row_product, symmetric_group)
@@ -17,7 +20,7 @@ from charfactor.characters import (coxeter_value, schur_at_point,
 from charfactor.weights import (dominant_weights, is_residue_balanced,
                                 shifted_weight)
 from charfactor.factorize import factorize, verify_numeric, verify_symbolic
-from charfactor.cli import run_benchmark
+from charfactor.cli import main, run_benchmark
 
 import random
 
@@ -110,6 +113,21 @@ def test_criterion_5_coset_audit():
     ok = ok and sampled.passed and sampled.tested_outside == 50
     report("5 coset vanishing and constants", ok,
            time.perf_counter() - start, budget=120)
+
+
+@pytest.mark.parametrize("m,n,digest", [(2, 5, "3c649c6c29941d5a"),
+                                        (5, 2, "e287f554ee411ee6")])
+def test_criterion_5_sampled_coset_audit_at_size_ten(capsys, m, n, digest):
+    # the digest pins the report of the coset walk that listed every coset
+    # and checked each constant over the whole row subgroup
+    start = time.perf_counter()
+    code = main(["coset-audit", "--m", str(m), "--n", str(n),
+                 "--lambda", ",".join(["0"] * 10), "--outside-sample", "5",
+                 "--bound", "10"])
+    out = capsys.readouterr().out
+    ok = code == 0 and hashlib.sha256(out.encode()).hexdigest().startswith(digest)
+    report(f"5 sampled coset audit at ({m},{n})", ok,
+           time.perf_counter() - start, budget=2)
 
 
 def test_criterion_6_coxeter_range():

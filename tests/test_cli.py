@@ -242,6 +242,11 @@ class TestCosetAuditCommand:
         assert code == 0
         assert json.loads(out)["tested_outside"] == 5
 
+    def test_sampled_above_bound_exit_code(self, capsys):
+        code, _ = run_cli(capsys, "coset-audit", "--m", "2", "--n", "5",
+                          "--lambda", ",".join(["0"] * 10), "--outside-sample", "5")
+        assert code == 2
+
 
 class TestCoxeterCommand:
     def test_standard_weight(self, capsys):

@@ -1,15 +1,18 @@
 import dataclasses
 import importlib
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from charfactor.cyclotomic import zeta
 from charfactor.laurent import LaurentPoly, block_specialize
-from charfactor.perms import (BlockStructure, Perm, is_column_row_product,
-                              row_coset_reps, row_subgroup, column_subgroup)
-from charfactor.characters import (alternant, schur_at_point,
+from charfactor.perms import (BlockStructure, EnumerationTooLarge, Perm,
+                              is_column_row_product, row_coset_reps,
+                              row_subgroup, column_subgroup, symmetric_group)
+from charfactor.characters import (alternant, block_key, schur_at_point,
                                    twisted_numerator)
 from charfactor.weights import (dominant_weights, is_residue_balanced,
                                 normalize_residue_blocks, shifted_weight,
@@ -274,6 +277,61 @@ class TestCosetBlockSum:
             assert total == twisted_numerator(mu, m, n)
 
 
+def constants_by_row_subgroup(mu, m, n, etas):
+    # independent oracle for the audit's constants: compare the `block_key`s
+    # of eta.w and w, for w = mu and then for every arrangement of mu by the
+    # row subgroup; returns ({eta: power of zeta_n} for the etas that
+    # rescale mu, {eta: {sigma: (t-exponents moved, power changed)}} for
+    # the sigma that change the constant)
+    places = [divmod(p, m) for p in range(m * n)]
+
+    def key_shift(moved, w):
+        a, b = block_key(places, moved, m, n), block_key(places, w, m, n)
+        return a[:m] != b[:m], (a[m] - b[m]) % n
+
+    sigmas = list(row_subgroup(m, n))
+    powers, changers = {}, {}
+    for eta in etas:
+        moved, power = key_shift(eta.act(mu), mu)
+        if moved:
+            continue
+        powers[eta] = power
+        changers[eta] = {}
+        for sigma in sigmas:
+            shuffled = sigma.act(mu)
+            moved, other = key_shift(eta.act(shuffled), shuffled)
+            if moved or other != power:
+                changers[eta][sigma] = (moved, other != power)
+    return powers, changers
+
+
+def row_invariance_failures(report):
+    # {eta: named sigma} from the audit's "constant ... changes" failures
+    pattern = re.compile(r"constant of Perm\((\[.*?\])\) changes under "
+                         r"row element Perm\((\[.*?\])\)$")
+    named = {}
+    for failure in report.failures:
+        match = pattern.match(failure)
+        if match:
+            eta, sigma = (Perm(json.loads(g)) for g in match.groups())
+            named[eta] = sigma
+    return named
+
+
+@pytest.fixture
+def summed(monkeypatch):
+    # the coset representatives that coset_audit sums, in order
+    reps = []
+
+    def recording(mu, m, n, rep):
+        reps.append(rep)
+        return coset_block_sum(mu, m, n, rep)
+
+    monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
+                        "coset_block_sum", recording)
+    return reps
+
+
 class TestCosetAudit:
     def test_two_two_trivial_weight(self):
         report = coset_audit((0, 0, 0, 0), 2, 2)
@@ -314,23 +372,108 @@ class TestCosetAudit:
         assert not report.passed
         assert report.failures == [
             f"column element {swap!r} does not rescale by a root of unity"]
+        # no constant was left to check for row invariance
+        assert report.tested_inside == 0
+        assert report.invariance_checked is False
+        assert report.to_dict()["invariance_checked"] is False
 
     def test_row_invariance_check_can_fail(self, monkeypatch):
-        # a transposition across row blocks is not in the row subgroup
-        cross = Perm.transposition(6, 1, 3)
-        monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
-                            "row_subgroup", lambda m, n: iter([cross]))
+        # left unnormalized, the staircase has row blocks whose column
+        # constants a swap inside the block changes
+        fz = importlib.import_module("charfactor.factorize")
+        monkeypatch.setattr(fz, "normalize_residue_blocks",
+                            lambda v, m, n: (tuple(v), 1))
         report = coset_audit((0, 0, 0, 0, 0, 0), 2, 3)
         assert not report.passed
-        assert report.failures
-        assert all("changes under row element " + repr(cross) in failure
-                   for failure in report.failures)
+        named = row_invariance_failures(report)
+        assert len(named) == 30
+        assert not any("does not rescale" in failure for failure in report.failures)
+        assert sum("nonzero block sum" in failure for failure in report.failures) == 54
+        powers, changers = constants_by_row_subgroup(
+            (5, 4, 3, 2, 1, 0), 2, 3, column_subgroup(2, 3))
+        assert report.omega_powers == powers
+        assert set(named) == {eta for eta, changed in changers.items() if changed}
+        for eta, sigma in named.items():
+            assert sigma in changers[eta], (eta, sigma)
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
+    def test_closed_form_matches_row_subgroup_oracle(self, monkeypatch, m, n):
+        # every eta in S_mn against arrangements of the shifted weight that
+        # are not normalized, so that non-column etas rescale some of them
+        # and both halves of the invariance check (t-exponents and the power
+        # of zeta_n) are needed: with normalized mu no non-column eta
+        # rescales at all
+        fz = importlib.import_module("charfactor.factorize")
+        monkeypatch.setattr(fz, "column_subgroup",
+                            lambda m, n: symmetric_group(m * n))
+        rng = random.Random(10 * m + n)
+        kinds = set()
+        for lam in ((0,) * (m * n), (2, 1) + (0,) * (m * n - 2)):
+            for _ in range(2):
+                mu = tuple(rng.sample(shifted_weight(lam), m * n))
+                monkeypatch.setattr(fz, "normalize_residue_blocks",
+                                    lambda v, m, n, mu=mu: (mu, 1))
+                report = coset_audit(lam, m, n, outside_sample=1)
+                powers, changers = constants_by_row_subgroup(
+                    mu, m, n, symmetric_group(m * n))
+                assert report.omega_powers == powers, mu
+                assert report.invariance_checked
+                named = row_invariance_failures(report)
+                assert set(named) == {eta for eta, ch in changers.items() if ch}, mu
+                for eta, sigma in named.items():
+                    assert sigma in changers[eta], (mu, eta, sigma)
+                    kinds.add(frozenset(changers[eta].values()))
+        # some eta changes only its t-exponents and some only its power
+        assert frozenset({(True, False)}) in kinds
+        assert frozenset({(False, True)}) in kinds
 
     def test_sampled_audit_two_three(self):
         report = coset_audit((0, 0, 0, 0, 0, 0), 2, 3, outside_sample=10)
         assert report.passed
         assert report.tested_outside == 10
         assert report.tested_inside == 36
+
+    def test_sampled_cosets_are_distinct_outside_cosets(self, summed):
+        lam = (1, 1, 1, 0, 0, 0)
+        report = coset_audit(lam, 2, 3, outside_sample=20, seed=7)
+        assert report.passed
+        assert report.tested_outside == 20
+        first = list(summed)
+        summed.clear()
+        assert len(set(first)) == 20
+        blocks = BlockStructure(2, 3)
+        for rep in first:
+            # the canonical representative: each row block sorted
+            assert all(rep.images[k] < rep.images[k + 1] for k in (0, 2, 4))
+            assert not is_column_row_product(rep, blocks)
+        assert coset_audit(lam, 2, 3, outside_sample=20, seed=7).to_dict() \
+            == report.to_dict()
+        assert summed == first
+        summed.clear()
+        coset_audit(lam, 2, 3, outside_sample=20, seed=8)
+        assert summed != first
+
+    @pytest.mark.parametrize("outside_sample", [2, 3, None])
+    def test_sample_of_every_outside_coset_walks_them_all(self, summed,
+                                                          outside_sample):
+        # (2, 2) has 2 outside cosets
+        report = coset_audit((2, 1, 1, 0), 2, 2, outside_sample=outside_sample)
+        assert report.passed
+        blocks = BlockStructure(2, 2)
+        assert summed == [rep for rep in row_coset_reps(2, 2)
+                          if not is_column_row_product(rep, blocks)]
+        assert report.to_dict() == coset_audit((2, 1, 1, 0), 2, 2).to_dict()
+
+    def test_sampled_audit_checks_the_bound_first(self, monkeypatch):
+        def refuse(mu, m, n, rep):
+            raise AssertionError("coset summed above the bound")
+
+        monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
+                            "coset_block_sum", refuse)
+        with pytest.raises(EnumerationTooLarge):
+            coset_audit((0,) * 10, 2, 5, outside_sample=5)
+        with pytest.raises(EnumerationTooLarge):
+            coset_audit((0,) * 6, 2, 3, outside_sample=5, bound=5)
 
     def test_unbalanced_weight_rejected(self):
         with pytest.raises(ValueError, match="residue condition fails"):
