@@ -5,15 +5,15 @@ from .cyclotomic import (Cyclotomic, as_cyclotomic, cyclotomic_polynomial,
                          field_degree, zeta)
 from .laurent import LaurentPoly, block_specialize
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure,
-                    EnumerationTooLarge, Perm, column_row_products,
-                    column_subgroup, is_column_row_product, permutation_parity,
-                    row_coset_reps, row_subgroup, symmetric_group)
+                    EnumerationTooLarge, Perm, column_subgroup,
+                    is_column_row_product, permutation_parity,
+                    row_coset_reps, row_subgroup)
 from .weights import (check_dominant, dominant_weights, factor_weights,
                       is_residue_balanced, normalize_residue_blocks,
-                      residue_permutation, shifted_weight, staircase)
+                      shifted_weight, staircase)
 from .characters import (alternant, alternant_at_point, coxeter_value,
                          denominator_scalar, det_fraction_free,
-                         schur_at_point, schur_polynomial, twisted_numerator,
+                         schur_at_point, twisted_numerator,
                          twisted_vandermonde_closed,
                          twisted_vandermonde_product)
 from .factorize import (DEFAULT_SEED, CosetAuditReport,

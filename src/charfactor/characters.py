@@ -11,18 +11,15 @@ rows still free and multiplying by their m x m minor (enumerated over S_m),
 with the expansions that leave the same rows free summed before the next
 block.  The brute-force (mn)! and row-subgroup sums are test oracles.
 
-Two independent evaluation routes for characters are kept side by side on
-purpose.  The tableau route builds the character as an explicit Laurent
-polynomial from semistandard tableaux; the alternant-ratio route divides
-two determinants over a cyclotomic field at a concrete regular point.
-They cross-check each other in the test suite.
+Character values come from one route, the alternant ratio: two
+determinants over a cyclotomic field at a concrete regular point.  The
+tableau Schur polynomial that cross-checks it lives with the test oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import lcm
 from operator import add
 
 from .cyclotomic import (Cyclotomic, _sparse_power_rows, as_cyclotomic,
@@ -97,7 +94,7 @@ def _row_set_expansion(mu, m, n, rows=None):
         for i, r in _sparse_power_rows(n)[key[m] % n]:
             vec[i] += cnt * r
     terms = {texp: Cyclotomic(n, vec, _den=1) for texp, vec in vecs.items() if any(vec)}
-    return LaurentPoly._raw(m, n, terms)
+    return LaurentPoly._raw(m, terms)
 
 
 def coset_block_sum(mu, m, n, rep):
@@ -136,7 +133,7 @@ def twisted_vandermonde_product(m, n):
         k, s = divmod(p, m)
         exps = [0] * m
         exps[s] = 1
-        coords.append(LaurentPoly(m, {tuple(exps): zeta(n, k)}, order=n))
+        coords.append(LaurentPoly(m, {tuple(exps): zeta(n, k)}))
     out = LaurentPoly.one(m)
     for a in range(total):
         for b in range(a + 1, total):
@@ -160,7 +157,7 @@ def denominator_scalar(m, n):
 def twisted_vandermonde_closed(m, n):
     """Factored form of the twisted Vandermonde: the scalar above times
     prod_(i<j) (t_i^n - t_j^n)^n times (t_1 ... t_m)^(n(n-1)/2)."""
-    poly = LaurentPoly.monomial((n * (n - 1) // 2,) * m, denominator_scalar(m, n))
+    poly = LaurentPoly.monomial((n * (n - 1) // 2,) * m)
     for i in range(m):
         for j in range(i + 1, m):
             ei = [0] * m
@@ -169,84 +166,28 @@ def twisted_vandermonde_closed(m, n):
             ej[j] = n
             diff = LaurentPoly(m, {tuple(ei): 1, tuple(ej): -1})
             poly = poly * diff ** n
-    return poly
-
-
-def _ssyt_weights(shape, nvars):
-    # content vectors of all semistandard tableaux of the given shape with
-    # entries in 1..nvars: rows weakly increase, columns strictly increase
-    rows = [r for r in shape if r > 0]
-    if not rows:
-        yield (0,) * nvars
-        return
-    cells = [(r, c) for r, width in enumerate(rows) for c in range(width)]
-    grid = [[0] * width for width in rows]
-    weight = [0] * nvars
-
-    def fill(idx):
-        if idx == len(cells):
-            yield tuple(weight)
-            return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = grid[r][c - 1]
-        if r > 0 and grid[r - 1][c] + 1 > lo:
-            lo = grid[r - 1][c] + 1
-        for val in range(lo, nvars + 1):
-            grid[r][c] = val
-            weight[val - 1] += 1
-            yield from fill(idx + 1)
-            weight[val - 1] -= 1
-        grid[r][c] = 0
-
-    yield from fill(0)
-
-
-@lru_cache(maxsize=None)
-def schur_polynomial(lam):
-    """Schur character of the dominant weight lam as an explicit Laurent
-    polynomial in len(lam) variables, summed over semistandard tableaux.
-
-    Negative entries are handled by twisting with a power of the
-    determinant character: shift every entry by -lam[-1], then multiply
-    the result by (t_1 ... t_N)^lam[-1].
-    """
-    lam = tuple(lam)
-    check_dominant(lam)
-    nvars = len(lam)
-    base = lam[-1]
-    shape = tuple(x - base for x in lam)
-    counts = {}
-    for w in _ssyt_weights(shape, nvars):
-        key = tuple(x + base for x in w)
-        counts[key] = counts.get(key, 0) + 1
-    return LaurentPoly(nvars, counts)
+    # the rational product first, so each term meets Q(zeta_n) once
+    return poly.scale(denominator_scalar(m, n))
 
 
 def det_fraction_free(matrix):
     """Exact determinant by fraction-free (Bareiss) elimination with row
-    pivoting; entries may mix rationals and cyclotomic values, all lifted
-    to the lcm of their orders.  Each pivot but the last is inverted once
-    and the next step multiplies by its inverse; the first step divides by
-    nothing.  Every Bareiss quotient is a minor of the matrix, so for
-    integral entries (den == 1, as at integer sample points) each
-    intermediate entry and the result stay integral."""
+    pivoting; entries may mix rationals and cyclotomic values of any
+    orders, which `Cyclotomic` lifts where they meet.  Each pivot but the
+    last is inverted once and the next step multiplies by its inverse; the
+    first step divides by nothing.  Every Bareiss quotient is a minor of
+    the matrix, so for integral entries (den == 1, as at integer sample
+    points) each intermediate entry and the result stay integral."""
     size = len(matrix)
     if size == 0:
         return Cyclotomic.rational(1)
-    order = 1
     rows = []
     for row in matrix:
         if len(row) != size:
             raise ValueError("matrix must be square")
-        row = [as_cyclotomic(x) for x in row]
-        for x in row:
-            order = lcm(order, x.order)
-        rows.append(row)
-    rows = [[x.embed(order) for x in row] for row in rows]
+        rows.append([as_cyclotomic(x) for x in row])
     sign = 1
-    zero = Cyclotomic.rational(0, order)
+    zero = Cyclotomic.rational(0)
     for p in range(size - 1):
         if not rows[p][p]:
             for r in range(p + 1, size):

@@ -130,6 +130,10 @@ def cmd_denom_check(args):
     fmt = args.emit or "json"
     if fmt == "csv":
         raise ValueError("denom-check supports --emit json or poly")
+    # the direct product multiplies out all (mn)! terms of the Vandermonde
+    bound = _resolve_bound(args)
+    if args.m * args.n > bound:
+        raise EnumerationTooLarge(f"S_{args.m * args.n} exceeds the enumeration bound {bound}")
     direct = twisted_vandermonde_product(args.m, args.n)
     closed = twisted_vandermonde_closed(args.m, args.n)
     match = direct == closed

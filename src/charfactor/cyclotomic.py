@@ -14,7 +14,8 @@ boundary: `Cyclotomic(order, coeffs)`, `rational`, `coeffs` and
 Values of different orders interoperate through `embed`, which realizes
 Q(zeta_d) inside Q(zeta_N) for d | N via zeta_d -> zeta_N^(N/d); binary
 operations lift both operands into the compound field of order
-lcm(a.order, b.order) automatically.  The Galois conjugations
+lcm(a.order, b.order) automatically; the rest of the package holds values
+of mixed orders and leaves every lift to this.  The Galois conjugations
 zeta -> zeta^j are the same power map, and division multiplies by the
 other conjugates over the norm, an integer for the integral numerator.
 """
@@ -265,9 +266,6 @@ class Cyclotomic:
                 raise ZeroDivisionError("division by zero in cyclotomic field")
             return self * (1 / Fraction(other))
         return NotImplemented
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):

@@ -29,6 +29,8 @@ from .weights import (check_dominant, factor_weights, is_residue_balanced,
                       normalize_residue_blocks, shifted_weight, staircase)
 
 DEFAULT_SEED = 1729
+# draws of `random_regular_point` before it gives up
+POINT_RETRIES = 64
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,10 @@ def sign_via_coxeter(lam, etas, m, n, conjugate=False):
     powers give the analogous rank-m point; when both are nonzero their
     ratio is the sign.  Returns None when both vanish there.
     """
-    big = coxeter_value(tuple(lam), conjugate=conjugate).embed(m * n)
-    small = Cyclotomic.rational(1, m * n)
+    big = coxeter_value(tuple(lam), conjugate=conjugate)
+    small = Cyclotomic.rational(1)
     for eta in etas:
-        small = small * coxeter_value(tuple(eta), conjugate=conjugate).embed(m * n)
+        small = small * coxeter_value(tuple(eta), conjugate=conjugate)
     if not small and not big:
         return None
     if not big:
@@ -137,10 +139,10 @@ def sign_via_coxeter(lam, etas, m, n, conjugate=False):
     raise RuntimeError(f"factorization sign is not +-1: {value}")
 
 
-def random_regular_point(rng, m, n, retries=64):
+def random_regular_point(rng, m, n):
     """Random rational coordinates in [2, 97] whose n-th powers are
-    pairwise distinct; redraws (bounded) on collision."""
-    for _ in range(retries):
+    pairwise distinct; redraws (at most POINT_RETRIES times) on collision."""
+    for _ in range(POINT_RETRIES):
         t = [Fraction(x) for x in rng.sample(range(2, 98), m)]
         if len({x ** n for x in t}) == m:
             return t

@@ -5,15 +5,14 @@ allowed) to nonzero Cyclotomic coefficients:
 
     {(2, -1): z, (0, 3): 2}   <->   (z) * t1^2 t2^-1  +  (2) * t2^3
 
-All coefficients of one polynomial are held at a single field order, the
-lcm of the orders seen on input; mixed-order operands are lifted on entry,
-so equality stays a straight term-map comparison.  Values are immutable.
+Each coefficient keeps its own field order: `Cyclotomic` lifts two
+coefficients to a common order when they meet in a sum, product or
+comparison, so this module never handles orders.  Values are immutable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .cyclotomic import Cyclotomic, as_cyclotomic, zeta
 
@@ -21,10 +20,11 @@ _SCALARS = (int, Fraction, Cyclotomic)
 
 
 class LaurentPoly:
-    __slots__ = ("nvars", "order", "terms")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms=None, order=1):
-        normalized = []
+    def __init__(self, nvars, terms=None):
+        self.nvars = nvars
+        self.terms = {}
         for exps, value in (terms or {}).items():
             value = as_cyclotomic(value)
             if not value:
@@ -32,24 +32,19 @@ class LaurentPoly:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} does not have {nvars} entries")
-            normalized.append((exps, value))
-            order = lcm(order, value.order)
-        self.nvars = nvars
-        self.order = order
-        self.terms = {e: c.embed(order) for e, c in normalized}
+            self.terms[exps] = value
 
     @classmethod
-    def _raw(cls, nvars, order, terms):
-        # internal: terms already pruned and at the stated order
+    def _raw(cls, nvars, terms):
+        # internal: terms already pruned
         poly = object.__new__(cls)
         poly.nvars = nvars
-        poly.order = order
         poly.terms = terms
         return poly
 
     @classmethod
     def zero(cls, nvars):
-        return cls._raw(nvars, 1, {})
+        return cls._raw(nvars, {})
 
     @classmethod
     def constant(cls, value, nvars):
@@ -69,12 +64,6 @@ class LaurentPoly:
     def monomial(cls, exps, coeff=1):
         return cls(len(exps), {tuple(exps): coeff})
 
-    def _lift(self, order):
-        if order == self.order:
-            return self
-        return LaurentPoly._raw(self.nvars, order,
-                                {e: c.embed(order) for e, c in self.terms.items()})
-
     def _coerce(self, other):
         if isinstance(other, _SCALARS):
             other = LaurentPoly.constant(other, self.nvars)
@@ -88,22 +77,20 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        order = lcm(self.order, other.order)
-        terms = dict(self._lift(order).terms)
-        for exps, value in other._lift(order).terms.items():
+        terms = dict(self.terms)
+        for exps, value in other.terms.items():
             total = terms.get(exps)
             total = value if total is None else total + value
             if total:
                 terms[exps] = total
             else:
                 terms.pop(exps, None)
-        return LaurentPoly._raw(self.nvars, order, terms)
+        return LaurentPoly._raw(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._raw(self.nvars, self.order,
-                                {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -111,21 +98,15 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return self.scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        order = lcm(self.order, other.order)
-        left = self._lift(order).terms
-        right = other._lift(order).terms
         terms = {}
-        for ea, ca in left.items():
-            for eb, cb in right.items():
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
                 value = ca * cb
                 total = terms.get(exps)
@@ -134,7 +115,7 @@ class LaurentPoly:
                     terms[exps] = total
                 else:
                     terms.pop(exps, None)
-        return LaurentPoly._raw(self.nvars, order, terms)
+        return LaurentPoly._raw(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -152,13 +133,9 @@ class LaurentPoly:
         return result
 
     def scale(self, value):
-        value = as_cyclotomic(value)
         if not value:
             return LaurentPoly.zero(self.nvars)
-        order = lcm(self.order, value.order)
-        value = value.embed(order)
-        return LaurentPoly._raw(self.nvars, order,
-                                {e: c.embed(order) * value for e, c in self.terms.items()})
+        return LaurentPoly._raw(self.nvars, {e: c * value for e, c in self.terms.items()})
 
     def __bool__(self):
         return bool(self.terms)
@@ -168,46 +145,13 @@ class LaurentPoly:
             other = LaurentPoly.constant(other, self.nvars)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.nvars != other.nvars:
-            return False
-        order = lcm(self.order, other.order)
-        return self._lift(order).terms == other._lift(order).terms
-
-    def evaluate(self, point):
-        """Substitute the coordinates of `point` for the variables; exact.
-
-        Coordinates may be ints, Fractions, or Cyclotomic values.  A zero
-        coordinate under a variable that occurs with a negative exponent is
-        rejected as a pole.
-        """
-        if len(point) != self.nvars:
-            raise ValueError("point arity mismatch")
-        coords = [as_cyclotomic(x) for x in point]
-        for i in range(self.nvars):
-            if any(e[i] < 0 for e in self.terms) and not coords[i]:
-                raise ValueError("pole at evaluation point")
-        order = self.order
-        for c in coords:
-            order = lcm(order, c.order)
-        powers = [{} for _ in coords]
-        total = Cyclotomic.rational(0, order)
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    cached = powers[i].get(e)
-                    if cached is None:
-                        cached = coords[i] ** e
-                        powers[i][e] = cached
-                    value = value * cached
-            total = total + value
-        return total
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def power_substitute(self, k):
         """Substitute t_s -> t_s^k for every variable."""
         if not isinstance(k, int) or k < 1:
             raise ValueError("substitution power must be a positive integer")
-        return LaurentPoly._raw(self.nvars, self.order,
+        return LaurentPoly._raw(self.nvars,
                                 {tuple(x * k for x in e): c for e, c in self.terms.items()})
 
     def scalar_ratio(self, other):
@@ -259,4 +203,4 @@ def block_specialize(exponents, m, n):
         k, s = divmod(pos, m)
         texp[s] += e
         twist += k * e
-    return LaurentPoly(m, {tuple(texp): zeta(n, twist)}, order=n)
+    return LaurentPoly(m, {tuple(texp): zeta(n, twist)})

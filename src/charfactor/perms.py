@@ -65,9 +65,6 @@ class Perm:
         images[a - 1], images[b - 1] = b, a
         return cls._unchecked(images)
 
-    def __len__(self):
-        return len(self.images)
-
     def __call__(self, i):
         return self.images[i - 1]
 
@@ -117,36 +114,29 @@ class BlockStructure:
     n: int
 
 
-def symmetric_group(size, bound=DEFAULT_ENUMERATION_BOUND):
-    """All of S_size, lexicographic on image vectors."""
-    if size > bound:
-        raise EnumerationTooLarge(f"S_{size} exceeds the enumeration bound {bound}")
-    for images in itertools.permutations(range(1, size + 1)):
-        yield Perm._unchecked(images)
-
-
-def _coordinate_subgroup(blocks, total):
+def _coordinate_subgroup(blocks):
+    # position p takes the image in slot where[p - 1] of the block
+    # permutations laid end to end, in the order of blocks
+    slots = [p for block in blocks for p in block]
+    where = sorted(range(len(slots)), key=slots.__getitem__)
     choices = [list(itertools.permutations(b)) for b in blocks]
     for combo in itertools.product(*choices):
-        images = [0] * total
-        for positions, permuted in zip(blocks, combo):
-            for pos, img in zip(positions, permuted):
-                images[pos - 1] = img
-        yield Perm._unchecked(images)
+        flat = sum(combo, ())
+        yield Perm._unchecked([flat[i] for i in where])
 
 
 def row_subgroup(m, n):
     """Direct product of the symmetric groups on the row blocks; (m!)^n
     elements, each stabilizing every row block setwise."""
     rows = [tuple(range(m * k + 1, m * (k + 1) + 1)) for k in range(n)]
-    return _coordinate_subgroup(rows, m * n)
+    return _coordinate_subgroup(rows)
 
 
 def column_subgroup(m, n):
     """Direct product of the symmetric groups on the column blocks; (n!)^m
     elements."""
     cols = [tuple(range(v, m * n + 1, m)) for v in range(1, m + 1)]
-    return _coordinate_subgroup(cols, m * n)
+    return _coordinate_subgroup(cols)
 
 
 def is_column_row_product(perm, blocks):
@@ -161,14 +151,6 @@ def is_column_row_product(perm, blocks):
                 return False
             hit[col] = True
     return True
-
-
-def column_row_products(blocks):
-    """The set {c * r : c in the column subgroup, r in the row subgroup},
-    built by explicit products; oracle for is_column_row_product."""
-    cols = list(column_subgroup(blocks.m, blocks.n))
-    rows = list(row_subgroup(blocks.m, blocks.n))
-    return {c * r for c in cols for r in rows}
 
 
 def row_coset_reps(m, n, bound=DEFAULT_ENUMERATION_BOUND):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .perms import Perm, permutation_parity
+from .perms import permutation_parity
 
 
 def staircase(size):
@@ -31,11 +31,12 @@ def is_residue_balanced(vec, m, n):
     return all(c == m for c in counts)
 
 
-def _residue_order(vec, m, n):
-    # 0-based source index for each target slot: residue-k entries fill
-    # block k, largest first
+def normalize_residue_blocks(vec, m, n):
+    """Rearrange vec so residue-k entries occupy block k, decreasing inside
+    each block; returns (rearranged vector, sign of the rearrangement)."""
     if len(vec) != m * n:
         raise ValueError("vector length must be m*n")
+    # 0-based source index for each target slot
     order = []
     for k in range(n):
         idxs = [i for i, x in enumerate(vec) if x % n == k]
@@ -43,20 +44,7 @@ def _residue_order(vec, m, n):
             raise ValueError("residue condition fails")
         idxs.sort(key=lambda i: vec[i], reverse=True)
         order.extend(idxs)
-    return order
-
-
-def normalize_residue_blocks(vec, m, n):
-    """Rearrange vec so residue-k entries occupy block k, decreasing inside
-    each block; returns (rearranged vector, sign of the rearrangement)."""
-    order = _residue_order(vec, m, n)
     return tuple(vec[i] for i in order), permutation_parity(tuple(order))
-
-
-def residue_permutation(vec, m, n):
-    """The permutation w with w.act(vec) == normalize_residue_blocks(vec)[0]."""
-    order = _residue_order(vec, m, n)
-    return Perm(i + 1 for i in order).inverse()
 
 
 def factor_weights(mu, m, n):

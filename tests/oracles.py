@@ -1,0 +1,121 @@
+"""Second routes kept only to check the package against: the tableau Schur
+polynomial, evaluation of a Laurent polynomial at a point, all of S_N, the
+column-row products by explicit multiplication, and the permutation that
+normalizes the residue blocks.  None of them runs on a product path.
+"""
+
+import itertools
+from functools import lru_cache
+
+from charfactor.cyclotomic import Cyclotomic, as_cyclotomic
+from charfactor.laurent import LaurentPoly
+from charfactor.perms import (DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge,
+                              Perm, column_subgroup, row_subgroup)
+from charfactor.weights import check_dominant
+
+
+def _ssyt_weights(shape, nvars):
+    # content vectors of all semistandard tableaux of the given shape with
+    # entries in 1..nvars: rows weakly increase, columns strictly increase
+    rows = [r for r in shape if r > 0]
+    if not rows:
+        yield (0,) * nvars
+        return
+    cells = [(r, c) for r, width in enumerate(rows) for c in range(width)]
+    grid = [[0] * width for width in rows]
+    weight = [0] * nvars
+
+    def fill(idx):
+        if idx == len(cells):
+            yield tuple(weight)
+            return
+        r, c = cells[idx]
+        lo = 1
+        if c > 0:
+            lo = grid[r][c - 1]
+        if r > 0 and grid[r - 1][c] + 1 > lo:
+            lo = grid[r - 1][c] + 1
+        for val in range(lo, nvars + 1):
+            grid[r][c] = val
+            weight[val - 1] += 1
+            yield from fill(idx + 1)
+            weight[val - 1] -= 1
+        grid[r][c] = 0
+
+    yield from fill(0)
+
+
+@lru_cache(maxsize=None)
+def schur_polynomial(lam):
+    """Schur character of the dominant weight lam as an explicit Laurent
+    polynomial in len(lam) variables, summed over semistandard tableaux.
+
+    Negative entries are handled by twisting with a power of the
+    determinant character: shift every entry by -lam[-1], then multiply
+    the result by (t_1 ... t_N)^lam[-1].
+    """
+    lam = tuple(lam)
+    check_dominant(lam)
+    nvars = len(lam)
+    base = lam[-1]
+    shape = tuple(x - base for x in lam)
+    counts = {}
+    for w in _ssyt_weights(shape, nvars):
+        key = tuple(x + base for x in w)
+        counts[key] = counts.get(key, 0) + 1
+    return LaurentPoly(nvars, counts)
+
+
+def evaluate(poly, point):
+    """Substitute the coordinates of `point` for the variables of the
+    Laurent polynomial `poly`; exact.
+
+    Coordinates may be ints, Fractions, or Cyclotomic values.  A zero
+    coordinate under a variable that occurs with a negative exponent is
+    rejected as a pole.
+    """
+    if len(point) != poly.nvars:
+        raise ValueError("point arity mismatch")
+    coords = [as_cyclotomic(x) for x in point]
+    for i in range(poly.nvars):
+        if any(e[i] < 0 for e in poly.terms) and not coords[i]:
+            raise ValueError("pole at evaluation point")
+    powers = [{} for _ in coords]
+    total = Cyclotomic.rational(0)
+    for exps, coeff in poly.terms.items():
+        value = coeff
+        for i, e in enumerate(exps):
+            if e:
+                cached = powers[i].get(e)
+                if cached is None:
+                    cached = coords[i] ** e
+                    powers[i][e] = cached
+                value = value * cached
+        total = total + value
+    return total
+
+
+def symmetric_group(size, bound=DEFAULT_ENUMERATION_BOUND):
+    """All of S_size, lexicographic on image vectors."""
+    if size > bound:
+        raise EnumerationTooLarge(f"S_{size} exceeds the enumeration bound {bound}")
+    for images in itertools.permutations(range(1, size + 1)):
+        yield Perm._unchecked(images)
+
+
+def column_row_products(blocks):
+    """The set {c * r : c in the column subgroup, r in the row subgroup},
+    built by explicit products; oracle for is_column_row_product."""
+    cols = list(column_subgroup(blocks.m, blocks.n))
+    rows = list(row_subgroup(blocks.m, blocks.n))
+    return {c * r for c in cols for r in rows}
+
+
+def residue_permutation(vec, m, n):
+    """The permutation w with w.act(vec) == normalize_residue_blocks(vec)[0]:
+    a stable sort of the positions by residue mod n, then by decreasing
+    value."""
+    if len(vec) != m * n:
+        raise ValueError("vector length must be m*n")
+    order = sorted(range(m * n), key=lambda i: (vec[i] % n, -vec[i]))
+    return Perm(i + 1 for i in order).inverse()

@@ -226,6 +226,24 @@ class TestDenomCheckCommand:
         assert code == 0
         assert "direct:" in out and "closed:" in out
 
+    @pytest.mark.parametrize("argv,env", [
+        (("--m", "5", "--n", "2", "--bound", "3"), None),
+        (("--m", "10", "--n", "1"), None),
+        (("--m", "2", "--n", "2"), "3"),
+    ])
+    def test_bound_exit_code_before_any_work(self, capsys, monkeypatch, argv, env):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the direct product started above the bound")
+
+        monkeypatch.setattr(cli, "twisted_vandermonde_product", refuse)
+        if env is not None:
+            monkeypatch.setenv("CHARFACTOR_BOUND", env)
+        else:
+            monkeypatch.delenv("CHARFACTOR_BOUND", raising=False)
+        code, out = run_cli(capsys, "denom-check", *argv)
+        assert code == 2
+        assert out == ""
+
 
 class TestCosetAuditCommand:
     def test_pass_with_constants_table(self, capsys):

@@ -11,7 +11,7 @@ from charfactor.cyclotomic import zeta
 from charfactor.laurent import LaurentPoly, block_specialize
 from charfactor.perms import (BlockStructure, EnumerationTooLarge, Perm,
                               is_column_row_product, row_coset_reps,
-                              row_subgroup, column_subgroup, symmetric_group)
+                              row_subgroup, column_subgroup)
 from charfactor.characters import (alternant, block_key, schur_at_point,
                                    twisted_numerator)
 from charfactor.weights import (dominant_weights, is_residue_balanced,
@@ -22,6 +22,7 @@ from charfactor.factorize import (FactorizationCertificate, coset_audit,
                                   sign_via_coxeter, twisted_point,
                                   vanishes_numerically, verify_numeric,
                                   verify_symbolic)
+from oracles import symmetric_group
 
 
 class TestFactorize:
