@@ -11,10 +11,9 @@ from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure,
 from .weights import (check_dominant, dominant_weights, factor_weights,
                       is_residue_balanced, normalize_residue_blocks,
                       shifted_weight, staircase)
-from .characters import (alternant, alternant_at_point, coxeter_value,
-                         denominator_scalar, det_fraction_free,
-                         schur_at_point, twisted_numerator,
-                         twisted_vandermonde_closed,
+from .characters import (alternant, coxeter_value, denominator_scalar,
+                         det_fraction_free, schur_at_point,
+                         twisted_numerator, twisted_vandermonde_closed,
                          twisted_vandermonde_product)
 from .factorize import (DEFAULT_SEED, CosetAuditReport,
                         FactorizationCertificate, coset_audit,

@@ -11,15 +11,18 @@ rows still free and multiplying by their m x m minor (enumerated over S_m),
 with the expansions that leave the same rows free summed before the next
 block.  The brute-force (mn)! and row-subgroup sums are test oracles.
 
-Character values come from one route, the alternant ratio: two
-determinants over a cyclotomic field at a concrete regular point.  The
-tableau Schur polynomial that cross-checks it lives with the test oracles.
+Character values come from one route, Jacobi-Trudi: one determinant over
+the elementary or the complete symmetric functions of a concrete regular
+point, on the shorter side of the diagram, so of size at most N - 1.  The
+tableau Schur polynomial and the alternant ratio that cross-check it live
+with the test oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import lcm
 from operator import add
 
 from .cyclotomic import (Cyclotomic, _sparse_power_rows, as_cyclotomic,
@@ -27,7 +30,7 @@ from .cyclotomic import (Cyclotomic, _sparse_power_rows, as_cyclotomic,
 from .laurent import LaurentPoly
 from .perms import (DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge,
                     permutation_parity)
-from .weights import check_dominant, shifted_weight
+from .weights import check_dominant
 
 
 def block_key(places, values, m, n):
@@ -209,46 +212,52 @@ def det_fraction_free(matrix):
     return -det if sign < 0 else det
 
 
-def alternant_at_point(exponents, point):
-    """det(point_i ^ exponents_j), the alternant value at a concrete point."""
-    coords = [as_cyclotomic(x) for x in point]
-    if len(coords) != len(exponents):
-        raise ValueError("point arity mismatch")
-    top = max((0, *exponents))
-    bottom = -min((0, *exponents))
-    if bottom and any(not c for c in coords):
-        raise ValueError("pole at evaluation point")
-    rows = []
-    for c in coords:
-        up = _power_ladder(c, top)
-        down = _power_ladder(c.inverse(), bottom) if bottom else None
-        rows.append([up[e] if e >= 0 else down[-e] for e in exponents])
-    return det_fraction_free(rows)
-
-
-def _power_ladder(c, top):
-    # c^0, c^1, ..., c^top (at least up to c^1) by one running product
-    powers = [Cyclotomic.rational(1, c.order), c]
-    while len(powers) <= top:
-        powers.append(powers[-1] * c)
-    return powers
-
-
 def schur_at_point(lam, point):
-    """Character value at a regular point: the ratio of the alternant of
-    the shifted weight by the Vandermonde of the point."""
+    """Character value at a regular point, by Jacobi-Trudi on the shorter
+    side of the diagram of kappa, the positive parts of lam - lam_N:
+    det(e_(kappa'_i - i + j)) of size kappa_1 when kappa_1 <= len(kappa),
+    else det(h_(kappa_i - i + j)) of size len(kappa), times
+    (x_1 ... x_N)^lam_N.  The determinant is never larger than N - 1."""
     lam = tuple(lam)
     check_dominant(lam)
     coords = [as_cyclotomic(x) for x in point]
-    if len(coords) != len(lam):
+    size = len(lam)
+    if len(coords) != size:
         raise ValueError("point arity mismatch")
-    denom = Cyclotomic.rational(1)
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            denom = denom * (coords[i] - coords[j])
-    if not denom:
-        raise ValueError("point not regular; use tableau method")
-    return alternant_at_point(shifted_weight(lam), coords) / denom
+    for i, a in enumerate(coords):
+        if any(a == b for b in coords[i + 1:]):
+            raise ValueError("point not regular; use tableau method")
+    base = lam[-1] if lam else 0
+    if base < 0 and any(not c for c in coords):
+        raise ValueError("pole at evaluation point")
+    kappa = [x - base for x in lam if x > base]
+    width = kappa[0] if kappa else 0
+    elementary = width <= len(kappa)
+    # the largest index any entry needs; e_k vanishes past k = N
+    top = width + len(kappa) - 1
+    if elementary:
+        rows = [sum(1 for x in kappa if x > i) for i in range(width)]
+        top = min(top, size)
+    else:
+        rows = kappa
+    order = lcm(*(c.order for c in coords))
+    zero = Cyclotomic.rational(0, order)
+    seq = [Cyclotomic.rational(1, order)] + [zero] * top
+    for i, x in enumerate(coords, 1):
+        # one coordinate at a time, seq_k <- seq_k + x * seq_(k-1): with k
+        # descending this multiplies by 1 + x z (e_k), ascending by
+        # 1 / (1 - x z) (h_k); e_k has no terms past k = i yet
+        for k in range(min(i, top), 0, -1) if elementary else range(1, top + 1):
+            seq[k] = seq[k] + x * seq[k - 1]
+    value = det_fraction_free([[seq[r - i + j] if 0 <= r - i + j <= top else zero
+                                for j in range(len(rows))]
+                               for i, r in enumerate(rows)])
+    if base:
+        total = coords[0]
+        for c in coords[1:]:
+            total = total * c
+        value = value * total ** base
+    return value
 
 
 def coxeter_value(lam, conjugate=False):

@@ -1,17 +1,19 @@
 """Second routes kept only to check the package against: the tableau Schur
-polynomial, evaluation of a Laurent polynomial at a point, all of S_N, the
-column-row products by explicit multiplication, and the permutation that
-normalizes the residue blocks.  None of them runs on a product path.
+polynomial, the alternant-ratio character value, evaluation of a Laurent
+polynomial at a point, all of S_N, the column-row products by explicit
+multiplication, and the permutation that normalizes the residue blocks.
+None of them runs on a product path.
 """
 
 import itertools
 from functools import lru_cache
 
+from charfactor.characters import det_fraction_free
 from charfactor.cyclotomic import Cyclotomic, as_cyclotomic
 from charfactor.laurent import LaurentPoly
 from charfactor.perms import (DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge,
                               Perm, column_subgroup, row_subgroup)
-from charfactor.weights import check_dominant
+from charfactor.weights import check_dominant, shifted_weight
 
 
 def _ssyt_weights(shape, nvars):
@@ -64,6 +66,48 @@ def schur_polynomial(lam):
         key = tuple(x + base for x in w)
         counts[key] = counts.get(key, 0) + 1
     return LaurentPoly(nvars, counts)
+
+
+def alternant_at_point(exponents, point):
+    """det(point_i ^ exponents_j), the alternant value at a concrete point."""
+    coords = [as_cyclotomic(x) for x in point]
+    if len(coords) != len(exponents):
+        raise ValueError("point arity mismatch")
+    top = max((0, *exponents))
+    bottom = -min((0, *exponents))
+    if bottom and any(not c for c in coords):
+        raise ValueError("pole at evaluation point")
+    rows = []
+    for c in coords:
+        up = _power_ladder(c, top)
+        down = _power_ladder(c.inverse(), bottom) if bottom else None
+        rows.append([up[e] if e >= 0 else down[-e] for e in exponents])
+    return det_fraction_free(rows)
+
+
+def _power_ladder(c, top):
+    # c^0, c^1, ..., c^top (at least up to c^1) by one running product
+    powers = [Cyclotomic.rational(1, c.order), c]
+    while len(powers) <= top:
+        powers.append(powers[-1] * c)
+    return powers
+
+
+def schur_ratio_at_point(lam, point):
+    """Character value at a regular point as the Weyl ratio: the alternant
+    of the shifted weight over the Vandermonde of the point, one
+    determinant of size len(lam)."""
+    lam = tuple(lam)
+    coords = [as_cyclotomic(x) for x in point]
+    if len(coords) != len(lam):
+        raise ValueError("point arity mismatch")
+    denom = Cyclotomic.rational(1)
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            denom = denom * (coords[i] - coords[j])
+    if not denom:
+        raise ValueError("point not regular")
+    return alternant_at_point(shifted_weight(lam), coords) / denom
 
 
 def evaluate(poly, point):

@@ -85,6 +85,23 @@ def test_criterion_3_main_factorization():
            time.perf_counter() - start, budget=300)
 
 
+def test_criterion_3_numeric_factorization_past_size_nine():
+    # the numeric half of verify at m*n = 10 and 12: every balanced weight
+    # with entries in [0, 1], five sample points each
+    start = time.perf_counter()
+    ok = True
+    checked = 0
+    for m, n in ((3, 4), (4, 3), (2, 6), (1, 10)):
+        for lam in dominant_weights(m * n, 0, 1):
+            if not is_residue_balanced(shifted_weight(lam), m, n):
+                continue
+            checked += 1
+            ok = ok and verify_numeric(factorize(lam, m, n), samples=5)
+    assert checked > 0
+    report(f"3 numeric factorization past m*n = 9 ({checked} balanced weights)",
+           ok, time.perf_counter() - start, budget=5)
+
+
 def test_criterion_4_column_row_counts():
     start = time.perf_counter()
     ok = True

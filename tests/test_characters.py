@@ -8,14 +8,16 @@ import pytest
 from charfactor.cyclotomic import Cyclotomic, as_cyclotomic, field_degree, zeta
 from charfactor.laurent import LaurentPoly
 from charfactor.perms import EnumerationTooLarge, permutation_parity
-from charfactor.characters import (alternant, alternant_at_point,
-                                   coxeter_value, det_fraction_free,
-                                   schur_at_point, twisted_numerator,
+from charfactor.characters import (alternant, coxeter_value,
+                                   det_fraction_free, schur_at_point,
+                                   twisted_numerator,
                                    twisted_vandermonde_closed,
                                    twisted_vandermonde_product)
-from charfactor.weights import (dominant_weights, normalize_residue_blocks,
+from charfactor.factorize import random_regular_point, twisted_point
+from charfactor.weights import (check_dominant, dominant_weights, normalize_residue_blocks,
                                 staircase)
-from oracles import evaluate, schur_polynomial, symmetric_group
+from oracles import (alternant_at_point, evaluate, schur_polynomial,
+                     schur_ratio_at_point, symmetric_group)
 
 
 def weyl_dimension(lam):
@@ -198,6 +200,39 @@ class TestTwistedVandermonde:
         assert numerator == twisted_vandermonde_closed(m, n).scale(sign)
 
 
+# every (m, n) of the sweep and certify benchmark grids, and six past them
+SCHUR_ORACLE_SHAPES = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 4), (4, 3),
+                       (4, 4), (3, 5), (2, 6), (1, 10))
+
+
+def jacobi_trudi_side(lam):
+    # "e" when kappa = lam - lam_N has kappa_1 <= len(kappa), else "h"
+    kappa = [x - lam[-1] for x in lam if x > lam[-1]]
+    return "e" if not kappa or kappa[0] <= len(kappa) else "h"
+
+
+def oracle_weights(size, rng):
+    # weights of length size on both Jacobi-Trudi sides, with lam_N < 0 on
+    # each, one long first part, and three random ones in [-2, 3]
+    pad = size - 1
+    out = [
+        (1,) * (size // 2) + (0,) * (size - size // 2),
+        (2, 2) + (1,) * (size - 3) + (0,) if size >= 3 else (2, 1),
+        (3, 1) + (0,) * (size - 2),
+        (4, 2, 1) + (0,) * (size - 3) if size >= 3 else (4, 0),
+        (1,) + (0,) * (size - 2) + (-2,),
+        (2,) + (-1,) * pad,
+        (1, -1) + (-2,) * (size - 2),
+        (30,) + (0,) * pad,
+    ]
+    for _ in range(3):
+        out.append(tuple(sorted((rng.randint(-2, 3) for _ in range(size)),
+                                reverse=True)))
+    for lam in out:
+        check_dominant(lam)
+    return out
+
+
 class TestSchur:
     def test_trivial_weight(self):
         assert schur_polynomial((0, 0, 0)) == LaurentPoly.one(3)
@@ -238,6 +273,31 @@ class TestSchur:
     def test_non_regular_point_rejected(self):
         with pytest.raises(ValueError, match="point not regular"):
             schur_at_point((1, 0), [2, 2])
+
+    def test_pole_at_zero_coordinate(self):
+        with pytest.raises(ValueError, match="pole at evaluation point"):
+            schur_at_point((0, -1), [1, 0])
+        # lam_N = 0 puts no power of the coordinates in a denominator
+        assert schur_at_point((1, 0), [1, 0]) == 1
+
+    def test_matches_alternant_ratio_at_twisted_points(self):
+        rng = random.Random(4096)
+        sides = set()
+        for m, n in SCHUR_ORACLE_SHAPES:
+            for lam in oracle_weights(m * n, rng):
+                sides.add((jacobi_trudi_side(lam), lam[-1] < 0))
+                t = random_regular_point(rng, m, n)
+                point = twisted_point(t, n)
+                assert schur_at_point(lam, point) == \
+                    schur_ratio_at_point(lam, point), (m, n, lam)
+        assert sides == {(side, neg) for side in "eh" for neg in (False, True)}
+
+    def test_coxeter_value_matches_alternant_ratio(self):
+        rng = random.Random(8192)
+        for size in range(2, 9):
+            point = [zeta(size, i) for i in range(size)]
+            for lam in oracle_weights(size, rng):
+                assert coxeter_value(lam) == schur_ratio_at_point(lam, point), lam
 
     def test_ssyt_count_known_value(self):
         # number of semistandard tableaux of shape (2,1) with entries <= 3
@@ -323,8 +383,9 @@ class TestDeterminant:
         lam = (0, 0, 0, -3, -5, -5)
         point = [2, 3, 5, 7, 11, 13]
         value = schur_at_point(lam, point)
-        # 6 coordinates, 4 Bareiss pivots and the final ratio
-        assert len(calls) == 11
+        # kappa = (5, 5, 5, 2): a size-4 h-side determinant, whose Bareiss
+        # inverts 2 pivots, and one inverse for (x_1 ... x_6)^-5
+        assert len(calls) == 3
         assert value == evaluate(schur_polynomial(lam), point)
 
     def test_alternant_at_point_negative_exponents(self):
