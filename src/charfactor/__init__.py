@@ -5,9 +5,9 @@ from .cyclotomic import (Cyclotomic, as_cyclotomic, cyclotomic_polynomial,
                          field_degree, zeta)
 from .laurent import LaurentPoly, block_specialize
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure,
-                    EnumerationTooLarge, Perm, column_subgroup,
-                    is_column_row_product, permutation_parity,
-                    row_coset_reps, row_subgroup)
+                    EnumerationTooLarge, Perm, check_enumeration_bound,
+                    column_subgroup, is_column_row_product,
+                    permutation_parity, row_coset_reps, row_subgroup)
 from .weights import (check_dominant, dominant_weights, factor_weights,
                       is_residue_balanced, normalize_residue_blocks,
                       shifted_weight, staircase)
@@ -17,7 +17,8 @@ from .characters import (alternant, coxeter_value, denominator_scalar,
                          twisted_vandermonde_product)
 from .factorize import (DEFAULT_SEED, CosetAuditReport,
                         FactorizationCertificate, coset_audit,
-                        coset_block_sum, factorize, random_regular_point,
+                        coset_block_sum, factored_value, factorize,
+                        random_regular_point, sample_points,
                         sign_via_coxeter, twisted_point,
                         vanishes_numerically, verify_numeric, verify_symbolic)
 

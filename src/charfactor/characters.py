@@ -12,10 +12,11 @@ with the expansions that leave the same rows free summed before the next
 block.  The brute-force (mn)! and row-subgroup sums are test oracles.
 
 Character values come from one route, Jacobi-Trudi: one determinant over
-the elementary or the complete symmetric functions of a concrete regular
-point, on the shorter side of the diagram, so of size at most N - 1.  The
-tableau Schur polynomial and the alternant ratio that cross-check it live
-with the test oracles.
+the elementary or the complete symmetric functions of a concrete point,
+on the shorter side of the diagram, so of size at most N - 1.  It is a
+polynomial identity, so the point need not be regular.  The tableau Schur
+polynomial and the alternant ratio that cross-check it live with the test
+oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import add
 from .cyclotomic import (Cyclotomic, _sparse_power_rows, as_cyclotomic,
                          field_degree, zeta)
 from .laurent import LaurentPoly
-from .perms import (DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge,
+from .perms import (DEFAULT_ENUMERATION_BOUND, check_enumeration_bound,
                     permutation_parity)
 from .weights import check_dominant
 
@@ -115,8 +116,7 @@ def twisted_numerator(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
     It is antisymmetric in mu; it collapses to the zero polynomial exactly
     when the residue classes of mu mod n are not uniformly filled.
     """
-    if m * n > bound:
-        raise EnumerationTooLarge(f"S_{m * n} exceeds the enumeration bound {bound}")
+    check_enumeration_bound(m * n, bound)
     return _row_set_expansion(mu, m, n)
 
 
@@ -213,20 +213,21 @@ def det_fraction_free(matrix):
 
 
 def schur_at_point(lam, point):
-    """Character value at a regular point, by Jacobi-Trudi on the shorter
-    side of the diagram of kappa, the positive parts of lam - lam_N:
+    """Character value at any point, by Jacobi-Trudi on the shorter side
+    of the diagram of kappa, the positive parts of lam - lam_N:
     det(e_(kappa'_i - i + j)) of size kappa_1 when kappa_1 <= len(kappa),
     else det(h_(kappa_i - i + j)) of size len(kappa), times
-    (x_1 ... x_N)^lam_N.  The determinant is never larger than N - 1."""
+    (x_1 ... x_N)^lam_N.  The determinant is never larger than N - 1; a
+    zero coordinate is a pole only when lam_N < 0."""
     lam = tuple(lam)
     check_dominant(lam)
     coords = [as_cyclotomic(x) for x in point]
     size = len(lam)
     if len(coords) != size:
         raise ValueError("point arity mismatch")
-    for i, a in enumerate(coords):
-        if any(a == b for b in coords[i + 1:]):
-            raise ValueError("point not regular; use tableau method")
+    # lift every coordinate once, so the e_k / h_k updates meet one order
+    order = lcm(*(c.order for c in coords))
+    coords = [c.embed(order) for c in coords]
     base = lam[-1] if lam else 0
     if base < 0 and any(not c for c in coords):
         raise ValueError("pole at evaluation point")
@@ -240,7 +241,6 @@ def schur_at_point(lam, point):
         top = min(top, size)
     else:
         rows = kappa
-    order = lcm(*(c.order for c in coords))
     zero = Cyclotomic.rational(0, order)
     seq = [Cyclotomic.rational(1, order)] + [zero] * top
     for i, x in enumerate(coords, 1):

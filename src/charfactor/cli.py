@@ -12,20 +12,19 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from statistics import mean
 
-from .cyclotomic import Cyclotomic
-from .perms import DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge
+from .perms import (DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge,
+                    check_enumeration_bound)
 from .characters import (schur_at_point, coxeter_value, twisted_numerator,
                          twisted_vandermonde_closed, twisted_vandermonde_product)
 from .weights import shifted_weight
-from .factorize import (DEFAULT_SEED, coset_audit, factorize,
-                        random_regular_point, twisted_point,
-                        vanishes_numerically, verify_numerator, verify_numeric)
+from .factorize import (DEFAULT_SEED, coset_audit, factored_value, factorize,
+                        sample_points, vanishes_numerically, verify_numerator,
+                        verify_numeric)
 
 EXIT_PASS = 0
 EXIT_INPUT = 1
@@ -71,8 +70,6 @@ def _write(args, text):
 
 
 def cmd_factor(args):
-    if (args.emit or "json") != "json":
-        raise ValueError("factor supports --emit json only")
     lam = _parse_weight(args.lam)
     cert = factorize(lam, args.m, args.n)
     _write(args, json.dumps(cert.to_dict(), indent=2))
@@ -80,16 +77,13 @@ def cmd_factor(args):
 
 
 def cmd_verify(args):
-    fmt = args.emit or "json"
-    if fmt == "csv":
-        raise ValueError("verify supports --emit json or poly")
     lam = _parse_weight(args.lam)
     bound = _resolve_bound(args)
     cert = factorize(lam, args.m, args.n)
     if not cert.balanced:
         ok = vanishes_numerically(lam, args.m, args.n,
                                   samples=args.samples, seed=args.seed)
-        if fmt == "poly":
+        if args.emit == "poly":
             numerator = twisted_numerator(shifted_weight(lam), args.m, args.n,
                                           bound=bound)
             _write(args, f"numerator: {numerator}\n"
@@ -105,7 +99,7 @@ def cmd_verify(args):
     numerator = twisted_numerator(cert.mu, args.m, args.n, bound=bound)
     sym_ok, scalar = verify_numerator(cert, numerator)
     num_ok = verify_numeric(cert, samples=args.samples, seed=args.seed)
-    if fmt == "poly":
+    if args.emit == "poly":
         lines = [
             f"numerator: {numerator}",
             f"scalar: {scalar}" if scalar is not None else "scalar: none",
@@ -127,17 +121,13 @@ def cmd_verify(args):
 
 
 def cmd_denom_check(args):
-    fmt = args.emit or "json"
-    if fmt == "csv":
-        raise ValueError("denom-check supports --emit json or poly")
-    # the direct product multiplies out all (mn)! terms of the Vandermonde
-    bound = _resolve_bound(args)
-    if args.m * args.n > bound:
-        raise EnumerationTooLarge(f"S_{args.m * args.n} exceeds the enumeration bound {bound}")
+    # the direct product multiplies out the mn(mn-1)/2 factors one by
+    # one; its cost follows the terms so far (2,961 at the end at (5, 2))
+    check_enumeration_bound(args.m * args.n, _resolve_bound(args))
     direct = twisted_vandermonde_product(args.m, args.n)
     closed = twisted_vandermonde_closed(args.m, args.n)
     match = direct == closed
-    if fmt == "poly":
+    if args.emit == "poly":
         _write(args, f"direct: {direct}\nclosed: {closed}\nmatch: {match}")
     else:
         _write(args, json.dumps({"m": args.m, "n": args.n, "match": match}, indent=2))
@@ -145,8 +135,6 @@ def cmd_denom_check(args):
 
 
 def cmd_coset_audit(args):
-    if (args.emit or "json") != "json":
-        raise ValueError("coset-audit supports --emit json only")
     lam = _parse_weight(args.lam)
     report = coset_audit(lam, args.m, args.n,
                          outside_sample=args.outside_sample,
@@ -156,8 +144,6 @@ def cmd_coset_audit(args):
 
 
 def cmd_coxeter(args):
-    if (args.emit or "json") != "json":
-        raise ValueError("coxeter supports --emit json only")
     lam = _parse_weight(args.lam)
     value = coxeter_value(lam)
     payload = {"lambda": list(lam), "order": len(lam),
@@ -172,21 +158,16 @@ def run_benchmark(m, n, lam, samples=3, seed=DEFAULT_SEED):
     cert = factorize(lam, m, n)
     if not cert.balanced:
         raise ValueError("benchmark needs a balanced weight")
-    rng = random.Random(seed)
-    points = [random_regular_point(rng, m, n) for _ in range(samples)]
+    points = list(sample_points(m, n, samples, seed))
     direct_ns = []
     factored_ns = []
     checks = 0
-    for t in points:
-        coords = twisted_point(t, n)
+    for t, coords in points:
         start = time.perf_counter_ns()
         direct = schur_at_point(cert.lam, coords)
         direct_ns.append(time.perf_counter_ns() - start)
-        powers = [x ** n for x in t]
         start = time.perf_counter_ns()
-        factored = Cyclotomic.rational(cert.epsilon)
-        for eta in cert.etas:
-            factored = factored * schur_at_point(eta, powers)
+        factored = factored_value(cert, t)
         factored_ns.append(time.perf_counter_ns() - start)
         if direct == factored:
             checks += 1
@@ -215,9 +196,6 @@ def _rows_to_csv(rows, fields):
 
 
 def cmd_bench(args):
-    fmt = args.emit or "csv"
-    if fmt == "poly":
-        raise ValueError("bench supports --emit csv or json")
     lam = _parse_weight(args.lam)
     cert = factorize(lam, args.m, args.n)
     if not cert.balanced:
@@ -225,7 +203,7 @@ def cmd_bench(args):
         return EXIT_VANISHING
     rows, ok = run_benchmark(args.m, args.n, lam, samples=args.samples,
                              seed=args.seed)
-    if fmt == "json":
+    if args.emit == "json":
         _write(args, json.dumps(rows, indent=2))
     else:
         _write(args, _rows_to_csv(rows, BENCH_FIELDS))
@@ -247,9 +225,6 @@ def _sweep_one(packed):
 def cmd_sweep(args):
     from .weights import dominant_weights
 
-    fmt = args.emit or "json"
-    if fmt == "poly":
-        raise ValueError("sweep supports --emit json or csv")
     if args.low > args.high:
         raise ValueError("--min must not exceed --max")
     lams = sorted(dominant_weights(args.m * args.n, args.low, args.high))
@@ -265,7 +240,7 @@ def cmd_sweep(args):
         "vanishing": sum(not r["balanced"] for r in rows),
         "failed": sum(not r["check_passed"] for r in rows),
     }
-    if fmt == "csv":
+    if args.emit == "csv":
         fields = ["lambda", "balanced", "epsilon", "check_passed"]
         flat = [dict(r, **{"lambda": " ".join(str(x) for x in r["lambda"])})
                 for r in rows]
@@ -285,14 +260,15 @@ def build_parser():
     common.add_argument("--emit", choices=["json", "poly", "csv"], default=None,
                         help="output format (per-command default)")
     common.add_argument("--bound", type=int, default=None,
-                        help="enumeration bound on m*n (default 9; "
-                             "env CHARFACTOR_BOUND)")
+                        help=f"enumeration bound on m*n (default "
+                             f"{DEFAULT_ENUMERATION_BOUND}; env CHARFACTOR_BOUND)")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for sample-point drawing")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, weight=True, mn=True, samples=False):
+    # emits: the --emit formats the command accepts, its default first
+    def add(name, func, help_, emits=("json",), weight=True, mn=True, samples=False):
         p = sub.add_parser(name, parents=[common], help=help_)
         if mn:
             p.add_argument("--m", type=int, required=True)
@@ -302,32 +278,27 @@ def build_parser():
                            help="comma-separated weakly decreasing integers")
         if samples:
             p.add_argument("--samples", type=int, default=5)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, emits=emits)
         return p
 
     add("factor", cmd_factor, "emit the factorization certificate")
     add("verify", cmd_verify, "check a certificate symbolically and numerically",
-        samples=True)
+        emits=("json", "poly"), samples=True)
     add("denom-check", cmd_denom_check,
-        "compare the direct and factored twisted Vandermonde", weight=False)
+        "compare the direct and factored twisted Vandermonde",
+        emits=("json", "poly"), weight=False)
     audit = add("coset-audit", cmd_coset_audit,
                 "audit vanishing cosets and column constants")
     audit.add_argument("--outside-sample", type=int, default=None,
                        help="sample this many vanishing cosets instead of all")
-    cox = sub.add_parser("coxeter", parents=[common],
-                         help="character value at the primitive-root point")
-    cox.add_argument("--lambda", dest="lam", required=True)
-    cox.set_defaults(func=cmd_coxeter)
-    add("bench", cmd_bench, "time direct vs factored evaluation", samples=True)
-    sweep = sub.add_parser("sweep", parents=[common],
-                           help="factorize and verify every dominant weight in a range")
-    sweep.add_argument("--m", type=int, required=True)
-    sweep.add_argument("--n", type=int, required=True)
+    add("coxeter", cmd_coxeter, "character value at the primitive-root point", mn=False)
+    add("bench", cmd_bench, "time direct vs factored evaluation",
+        emits=("csv", "json"), samples=True)
+    sweep = add("sweep", cmd_sweep, "factorize and verify every dominant weight in a range",
+                emits=("json", "csv"), weight=False, samples=True)
     sweep.add_argument("--min", dest="low", type=int, required=True)
     sweep.add_argument("--max", dest="high", type=int, required=True)
-    sweep.add_argument("--samples", type=int, default=5)
     sweep.add_argument("--jobs", type=int, default=1)
-    sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -346,6 +317,10 @@ def main(argv=None):
         # the report is written after the work, so check its directory first
         if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
             raise ValueError(f"--output directory does not exist: {args.output}")
+        args.emit = args.emit or args.emits[0]
+        if args.emit not in args.emits:
+            accepted = " or ".join(args.emits) if args.emits[1:] else f"{args.emits[0]} only"
+            raise ValueError(f"{args.command} supports --emit {accepted}")
         return args.func(args)
     except EnumerationTooLarge as exc:
         print(f"error: instance too large for exact enumeration ({exc})",

@@ -17,10 +17,10 @@ from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
 
-from .cyclotomic import Cyclotomic, as_cyclotomic, zeta
+from .cyclotomic import Cyclotomic, zeta
 from .laurent import LaurentPoly
-from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure,
-                    EnumerationTooLarge, Perm, is_column_row_product,
+from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure, Perm,
+                    check_enumeration_bound, is_column_row_product,
                     row_coset_reps, column_subgroup)
 from .characters import (alternant, coset_block_sum,
                          coxeter_value, denominator_scalar, schur_at_point,
@@ -29,8 +29,6 @@ from .weights import (check_dominant, factor_weights, is_residue_balanced,
                       normalize_residue_blocks, shifted_weight, staircase)
 
 DEFAULT_SEED = 1729
-# draws of `random_regular_point` before it gives up
-POINT_RETRIES = 64
 
 
 @dataclass(frozen=True)
@@ -82,12 +80,8 @@ class FactorizationCertificate:
 
 def twisted_point(t, n):
     """The m*n coordinates (t, w t, ..., w^(n-1) t), w = zeta_n."""
-    coords = []
-    for k in range(n):
-        w = zeta(n, k)
-        for x in t:
-            coords.append(w * as_cyclotomic(x))
-    return coords
+    roots = [zeta(n, k) for k in range(n)]
+    return [w * x for w in roots for x in t]
 
 
 def factorize(lam, m, n):
@@ -111,7 +105,7 @@ def factorize(lam, m, n):
                                     epsilon=epsilon)
 
 
-def sign_via_coxeter(lam, etas, m, n, conjugate=False):
+def sign_via_coxeter(lam, etas, conjugate=False):
     """Determinant oracle for the sign of the factorization.
 
     Both sides of the identity take values in {0, +1, -1} at the
@@ -139,35 +133,43 @@ def sign_via_coxeter(lam, etas, m, n, conjugate=False):
     raise RuntimeError(f"factorization sign is not +-1: {value}")
 
 
-def random_regular_point(rng, m, n):
-    """Random rational coordinates in [2, 97] whose n-th powers are
-    pairwise distinct; redraws (at most POINT_RETRIES times) on collision."""
-    for _ in range(POINT_RETRIES):
-        t = [Fraction(x) for x in rng.sample(range(2, 98), m)]
-        if len({x ** n for x in t}) == m:
-            return t
-    raise RuntimeError("failed to draw a regular sample point")
+def random_regular_point(rng, m):
+    """m distinct integers drawn from [2, 97], as Fractions.  Distinct
+    positive numbers have distinct n-th powers for every n, so the twisted
+    point on them is regular."""
+    return [Fraction(x) for x in rng.sample(range(2, 98), m)]
+
+
+def sample_points(m, n, samples, seed=DEFAULT_SEED):
+    """The sample points of every numeric check: samples pairs (t, the
+    twisted point at t), t drawn by `random_regular_point` from a Random
+    seeded by seed, each built when the caller reaches it.  A count below
+    1 raises at once, since zero checks cannot pass."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1; zero checks cannot pass")
+    rng = random.Random(seed)
+    draws = (random_regular_point(rng, m) for _ in range(samples))
+    return ((t, twisted_point(t, n)) for t in draws)
+
+
+def factored_value(cert, t):
+    """The factored side of the identity at t: epsilon times the product
+    of the factor characters at the n-th powers of t."""
+    value = Cyclotomic.rational(cert.epsilon)
+    powers = [x ** cert.n for x in t]
+    for eta in cert.etas:
+        value = value * schur_at_point(eta, powers)
+    return value
 
 
 def verify_numeric(cert, samples=5, seed=DEFAULT_SEED):
     """Exact spot-check of the certificate: at each sampled point the direct
-    character value must equal epsilon times the product of the factor
-    values at the n-th powers."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1; zero checks cannot pass")
+    character value must equal `factored_value`."""
+    points = sample_points(cert.m, cert.n, samples, seed)
     if not cert.balanced:
         raise ValueError("certificate is a vanishing certificate; nothing to factor")
-    rng = random.Random(seed)
-    for _ in range(samples):
-        t = random_regular_point(rng, cert.m, cert.n)
-        lhs = schur_at_point(cert.lam, twisted_point(t, cert.n))
-        rhs = Cyclotomic.rational(cert.epsilon)
-        powers = [x ** cert.n for x in t]
-        for eta in cert.etas:
-            rhs = rhs * schur_at_point(eta, powers)
-        if lhs != rhs:
-            return False
-    return True
+    return all(schur_at_point(cert.lam, coords) == factored_value(cert, t)
+               for t, coords in points)
 
 
 def verify_symbolic(cert, bound=DEFAULT_ENUMERATION_BOUND):
@@ -201,15 +203,9 @@ def verify_numerator(cert, lhs):
 def vanishes_numerically(lam, m, n, samples=5, seed=DEFAULT_SEED):
     """Spot-check that the character is exactly zero at random twisted
     points (the expected behavior of an unbalanced weight)."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1; zero checks cannot pass")
-    rng = random.Random(seed)
+    points = sample_points(m, n, samples, seed)
     lam = tuple(lam)
-    for _ in range(samples):
-        t = random_regular_point(rng, m, n)
-        if schur_at_point(lam, twisted_point(t, n)):
-            return False
-    return True
+    return not any(schur_at_point(lam, coords) for _, coords in points)
 
 
 @dataclass
@@ -312,8 +308,7 @@ def coset_audit(lam, m, n, outside_sample=None,
         raise ValueError("outside_sample must be at least 1; zero cosets cannot pass")
     lam = tuple(lam)
     mu, _ = normalize_residue_blocks(shifted_weight(lam), m, n)
-    if m * n > bound:
-        raise EnumerationTooLarge(f"S_{m * n} exceeds the enumeration bound {bound}")
+    check_enumeration_bound(m * n, bound)
     failures = []
 
     if outside_sample is not None and \

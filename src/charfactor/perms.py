@@ -19,6 +19,13 @@ class EnumerationTooLarge(ValueError):
     """A symmetric-group scale enumeration would exceed the size bound."""
 
 
+def check_enumeration_bound(size, bound=DEFAULT_ENUMERATION_BOUND):
+    """Raise EnumerationTooLarge, before any work, when an instance on
+    S_size exceeds the enumeration bound."""
+    if size > bound:
+        raise EnumerationTooLarge(f"S_{size} exceeds the enumeration bound {bound}")
+
+
 def permutation_parity(images):
     """Parity (+1 or -1) of a 0-based image tuple, by cycle decomposition."""
     size = len(images)
@@ -161,8 +168,7 @@ def row_coset_reps(m, n, bound=DEFAULT_ENUMERATION_BOUND):
     lexicographically least element of the coset.
     """
     total = m * n
-    if total > bound:
-        raise EnumerationTooLarge(f"S_{total} exceeds the enumeration bound {bound}")
+    check_enumeration_bound(total, bound)
 
     def assign(remaining, prefix):
         if not remaining:

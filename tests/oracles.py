@@ -11,8 +11,9 @@ from functools import lru_cache
 from charfactor.characters import det_fraction_free
 from charfactor.cyclotomic import Cyclotomic, as_cyclotomic
 from charfactor.laurent import LaurentPoly
-from charfactor.perms import (DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge,
-                              Perm, column_subgroup, row_subgroup)
+from charfactor.perms import (DEFAULT_ENUMERATION_BOUND, Perm,
+                              check_enumeration_bound, column_subgroup,
+                              row_subgroup)
 from charfactor.weights import check_dominant, shifted_weight
 
 
@@ -141,8 +142,7 @@ def evaluate(poly, point):
 
 def symmetric_group(size, bound=DEFAULT_ENUMERATION_BOUND):
     """All of S_size, lexicographic on image vectors."""
-    if size > bound:
-        raise EnumerationTooLarge(f"S_{size} exceeds the enumeration bound {bound}")
+    check_enumeration_bound(size, bound)
     for images in itertools.permutations(range(1, size + 1)):
         yield Perm._unchecked(images)
 

@@ -173,7 +173,7 @@ def test_criterion_7_schur_oracle_equivalence():
                 point = [x for x in rng.sample(range(2, 98), size)]
                 checked += 1
                 ok = ok and evaluate(poly, point) == schur_at_point(lam, point)
-    report(f"7 tableau == alternant-ratio ({checked} evaluations)", ok,
+    report(f"7 tableau == Jacobi-Trudi ({checked} evaluations)", ok,
            time.perf_counter() - start, budget=60)
 
 

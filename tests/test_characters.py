@@ -270,9 +270,25 @@ class TestSchur:
                 point = [Fraction(x) for x in rng.sample(range(2, 40), len(lam))]
                 assert evaluate(poly, point) == schur_at_point(lam, point)
 
-    def test_non_regular_point_rejected(self):
-        with pytest.raises(ValueError, match="point not regular"):
-            schur_at_point((1, 0), [2, 2])
+    def test_matches_tableau_at_non_regular_points(self):
+        # Jacobi-Trudi is a polynomial identity, so it needs no regular
+        # point: repeated and all-equal coordinates, zeros, mixed orders
+        # (zeta_6^2 is zeta_3) and t.c_2 at t = (2, -2), i.e. (2, -2, -2, 2)
+        points = [[2, 2, 5], [3, 3, 3], [0, 4, 7], [0, 0, 0],
+                  [zeta(3), zeta(3), 1], [zeta(6, 2), zeta(3), zeta(4)],
+                  [Fraction(1, 2)] * 4, [2, 0, 2, 0], [zeta(4), 1, zeta(4), zeta(3)],
+                  twisted_point([2, -2], 2)]
+        poles = 0
+        for point in points:
+            for lam in dominant_weights(len(point), -2, 3):
+                if lam[-1] < 0 and not all(point):
+                    poles += 1
+                    with pytest.raises(ValueError, match="pole at evaluation point"):
+                        schur_at_point(lam, point)
+                    continue
+                assert schur_at_point(lam, point) == \
+                    evaluate(schur_polynomial(lam), point), (lam, point)
+        assert poles
 
     def test_pole_at_zero_coordinate(self):
         with pytest.raises(ValueError, match="pole at evaluation point"):
@@ -286,7 +302,7 @@ class TestSchur:
         for m, n in SCHUR_ORACLE_SHAPES:
             for lam in oracle_weights(m * n, rng):
                 sides.add((jacobi_trudi_side(lam), lam[-1] < 0))
-                t = random_regular_point(rng, m, n)
+                t = random_regular_point(rng, m)
                 point = twisted_point(t, n)
                 assert schur_at_point(lam, point) == \
                     schur_ratio_at_point(lam, point), (m, n, lam)

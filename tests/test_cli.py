@@ -116,6 +116,21 @@ class TestEmitValidation:
         assert code == 1
         assert out == ""
 
+    @pytest.mark.parametrize("command,emit,accepted", [
+        ("factor", "poly", "json only"), ("verify", "csv", "json or poly"),
+        ("denom-check", "csv", "json or poly"), ("coset-audit", "csv", "json only"),
+        ("coxeter", "poly", "json only"), ("bench", "poly", "csv or json"),
+        ("sweep", "poly", "json or csv"),
+    ])
+    def test_rejection_names_the_accepted_formats(self, capsys, command, emit, accepted):
+        argv = {"coxeter": ("--lambda", "1,0"), "denom-check": ("--m", "2", "--n", "2"),
+                "sweep": ("--m", "2", "--n", "2", "--min", "0", "--max", "1")}.get(
+            command, ("--m", "2", "--n", "2", "--lambda", "1,1,0,0"))
+        code = main([command, *argv, "--emit", emit])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {command} supports --emit {accepted}\n"
+
 
 class TestCountValidation:
     @pytest.mark.parametrize("argv", [

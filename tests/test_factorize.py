@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 import json
 import random
 import re
@@ -18,10 +19,11 @@ from charfactor.weights import (dominant_weights, is_residue_balanced,
                                 normalize_residue_blocks, shifted_weight,
                                 staircase)
 from charfactor.factorize import (FactorizationCertificate, coset_audit,
-                                  coset_block_sum, factorize,
+                                  coset_block_sum, factorize, sample_points,
                                   sign_via_coxeter, twisted_point,
                                   vanishes_numerically, verify_numeric,
                                   verify_symbolic)
+from charfactor.cli import run_benchmark
 from oracles import symmetric_group
 
 
@@ -75,16 +77,16 @@ class TestFactorize:
 
 class TestSignViaCoxeter:
     def test_trivial(self):
-        assert sign_via_coxeter((0, 0, 0, 0), ((0, 0), (0, 0)), 2, 2) == 1
+        assert sign_via_coxeter((0, 0, 0, 0), ((0, 0), (0, 0))) == 1
 
     def test_fallback_when_coxeter_point_vanishes(self):
         # both sides are zero at the Coxeter point here, so the oracle
         # cannot decide the sign
-        assert sign_via_coxeter((1, 1, 0, 0), ((1, 0), (0, 0)), 2, 2) is None
+        assert sign_via_coxeter((1, 1, 0, 0), ((1, 0), (0, 0))) is None
 
     def test_one_side_vanishing_raises(self):
         with pytest.raises(RuntimeError, match="direct side zero"):
-            sign_via_coxeter((1, 1, 0, 0), ((0, 0), (0, 0)), 2, 2)
+            sign_via_coxeter((1, 1, 0, 0), ((0, 0), (0, 0)))
 
     def test_conjugate_point_gives_same_sign(self):
         # (2, 2, 1, 1) vanishes at the Coxeter point, so the oracle is
@@ -92,7 +94,7 @@ class TestSignViaCoxeter:
         for lam, m, n, expected in (((0, 0, 0, 0), 2, 2, 1), ((2, 1, 0), 1, 3, -1),
                                     ((2, 2, 1, 1), 2, 2, None)):
             cert = factorize(lam, m, n)
-            sign = sign_via_coxeter(lam, cert.etas, m, n, conjugate=True)
+            sign = sign_via_coxeter(lam, cert.etas, conjugate=True)
             assert sign == expected
             assert sign in (None, cert.epsilon)
 
@@ -106,7 +108,7 @@ class TestSignViaCoxeter:
                     continue
                 total += 1
                 cert = factorize(lam, m, n)
-                sign = sign_via_coxeter(lam, cert.etas, m, n)
+                sign = sign_via_coxeter(lam, cert.etas)
                 if sign is None:
                     assert verify_numeric(cert, samples=1), lam
                 else:
@@ -216,6 +218,37 @@ class TestVanishing:
     def test_no_samples_rejected(self, samples):
         with pytest.raises(ValueError, match="samples must be at least 1"):
             vanishes_numerically((1, 0, 0, 0), 2, 2, samples=samples)
+
+
+class TestSamplePoints:
+    def test_twisted_coordinates_pairwise_distinct(self):
+        # distinct t_s in [2, 97] have distinct n-th powers, so one draw
+        # always gives a regular twisted point and none is ever redrawn
+        for m, n in ((m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)):
+            for seed in range(8):
+                points = list(sample_points(m, n, 4, seed))
+                assert len(points) == 4
+                first = [Fraction(x) for x in random.Random(seed).sample(range(2, 98), m)]
+                assert points[0][0] == first
+                for t, coords in points:
+                    assert all(a != b for a, b in itertools.combinations(coords, 2)), \
+                        (m, n, t)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected_before_any_point(self, samples):
+        # verify_numeric and vanishes_numerically have their own tests;
+        # the count is checked on the call, not on the first point
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            sample_points(2, 2, samples)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            run_benchmark(2, 2, (1, 1, 0, 0), samples=samples)
+
+    def test_verify_numeric_checks_samples_before_the_certificate(self):
+        vanishing = factorize((1, 0, 0, 0), 2, 2)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify_numeric(vanishing, samples=0)
+        with pytest.raises(ValueError, match="vanishing certificate"):
+            verify_numeric(vanishing, samples=1)
 
 
 def coset_sum_by_row_subgroup(mu, m, n, rep):
