@@ -7,9 +7,18 @@ Everything here is exact over Q(zeta_N).
 The alternating sums (`twisted_numerator`, `coset_block_sum`, `alternant`)
 share one route, the row-set expansion: generalized Laplace expansion along
 the n blocks of the exponent vector in order, each block picking m of the
-rows still free and multiplying by their m x m minor (enumerated over S_m),
-with the expansions that leave the same rows free summed before the next
-block.  The brute-force (mn)! and row-subgroup sums are test oracles.
+rows still free.  Rows (k, s) and (k', s) are proportional on a block's
+values exactly when (k' - k)(v - v0) = 0 mod n for every value v, so no
+pick holding such a pair is built; with the rows fixed, one such block
+makes the sum zero before any minor is built.  Each minor that is built is
++-zeta_n^c times a canonical minor, and a state (the rows still free)
+carries one integer count per power of zeta_n for each tuple of canonical
+minors picked so far; the tuples whose counts survive in Q(zeta_n) are
+multiplied out once at the end.  With the rows free, mu is first sorted by
+residue class mod n, the fullest class first (the sum is antisymmetric in
+mu), so that a block's values mostly share a residue and few picks
+survive.  The unfactored expansion and the brute-force (mn)! and
+row-subgroup sums are test oracles.
 
 Character values come from one route, Jacobi-Trudi: one determinant over
 the elementary or the complete symmetric functions of a concrete point,
@@ -23,11 +32,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import lcm
-from operator import add
+from math import gcd, lcm
+from operator import add, gt
 
-from .cyclotomic import (Cyclotomic, _sparse_power_rows, as_cyclotomic,
-                         field_degree, zeta)
+from .cyclotomic import Cyclotomic, _power_map, as_cyclotomic, zeta
 from .laurent import LaurentPoly
 from .perms import (DEFAULT_ENUMERATION_BOUND, check_enumeration_bound,
                     permutation_parity)
@@ -52,53 +60,92 @@ def _parities(m):
     return tuple(map(permutation_parity, itertools.permutations(range(m))))
 
 
-def _block_minor(values, rows, m, n):
-    # det(x_p^v), p in the 1-based rows and v in values, as integer counts
-    # by `block_key` (so a minor with proportional rows cancels to nothing)
-    places = [divmod(p - 1, m) for p in rows]
+def _block_minor(values, places, m, n, forms):
+    # det(x_p^v), p at the places (k, s) in order and v in values, by
+    # `block_key` counts, as (form, c, sign): sign * zeta_n^c times the
+    # canonical form, kept once in forms; None when the counts cancel
     counts = {}
     for arranged, parity in zip(itertools.permutations(values), _parities(m)):
         key = block_key(places, arranged, m, n)
         counts[key] = counts.get(key, 0) + parity
-    return {key: c for key, c in counts.items() if c}
+    first = min((key for key, cnt in counts.items() if cnt), default=None)
+    if first is None:
+        return None
+    c, sign = first[m], 1 if counts[first] > 0 else -1
+    form = frozenset([(key[:m], (key[m] - c) % n, sign * cnt)
+                      for key, cnt in counts.items() if cnt])
+    return forms.setdefault(form, form), c, sign
 
 
 def _row_set_expansion(mu, m, n, rows=None):
-    # a state is the tuple of rows still free, its value the signed partial
-    # sum as `block_key` counts; the block of mu at k picks m free rows (any
-    # m, or the set rows[k:k+m]), multiplies by their minor and takes the
-    # sign from how many free rows the chosen ones jump over
+    # a state is the tuple of rows still free, its value a count per (tuple
+    # of the canonical minors picked so far, power of zeta_n); block k picks
+    # m free rows in distinct classes (any, or the set rows[k:k+m])
     if len(mu) != m * n:
         raise ValueError("mu length must be m*n")
-    jumps = m * (m - 1) // 2
-    states = {tuple(range(1, m * n + 1)): {(0,) * (m + 1): 1}}
-    for k in range(0, m * n, m):
+    if rows is None and len(set(mu)) < len(mu):
+        return LaurentPoly.zero(m)  # two equal columns
+    # rows (k, s) and (k', s) are proportional exactly when step | k' - k
+    blocks = [(k, mu[k:k + m], n // gcd(n, *(v - mu[k] for v in mu[k:k + m])))
+              for k in range(0, m * n, m)]
+
+    def classes(free, step):
+        out = {}
+        for p in free:
+            out.setdefault(((p - 1) // m % step, (p - 1) % m), []).append(p)
+        return sorted(out.items())
+
+    if rows and any(len(classes(rows[k:k + m], step)) < m for k, _, step in blocks):
+        return LaurentPoly.zero(m)
+    jumps, forms = m * (m - 1) // 2, {}
+    states = {tuple(range(1, m * n + 1)): {((), 0): 1}}
+    for k, values, step in blocks:
         minors, following = {}, {}
+        lift = [values[0] * step * ((p - 1) // (m * step)) for p in range(m * n + 1)]
         for free, partial in states.items():
-            picks = ((tuple(sorted(rows[k:k + m])),) if rows
-                     else itertools.combinations(free, m))
-            for chosen in picks:
-                minor = minors.get(chosen)
-                if minor is None:
-                    minor = minors[chosen] = _block_minor(mu[k:k + m], chosen, m, n)
-                if not minor:
+            for group in itertools.combinations(classes(rows[k:k + m] if rows else free, step), m):
+                combo, picks = zip(*group)
+                if combo not in minors:
+                    minors[combo] = _block_minor(values, combo, m, n, forms)
+                if not minors[combo]:
                     continue
-                sign = -1 if (sum(map(free.index, chosen)) - jumps) & 1 else 1
-                target = following.setdefault(tuple(p for p in free if p not in chosen), {})
-                for ka, ca in partial.items():
-                    ca *= sign
-                    for kb, cb in minor.items():
-                        key = tuple(map(add, ka, kb))
-                        target[key] = target.get(key, 0) + ca * cb
+                form, c, minor_sign = minors[combo]
+                # row (k, s) is zeta_n^(v0 (k - k % step)) times its class's
+                # row; chosen is in class order, so its inversions count too
+                for chosen in itertools.product(*picks):
+                    shift = c + sum(map(lift.__getitem__, chosen))
+                    odd = (sum(map(free.index, chosen)) - jumps + (minor_sign < 0)
+                           + sum(itertools.starmap(gt, itertools.combinations(chosen, 2)))) & 1
+                    target = following.setdefault(tuple(p for p in free if p not in chosen), {})
+                    for (idt, z), x in partial.items():
+                        key = idt + (form,), (z + shift) % n
+                        target[key] = target.get(key, 0) + (-x if odd else x)
         states = following
-    # reduce the counts to Q(zeta_n), once
-    vecs = {}
-    for key, cnt in states.get((), {}).items():
-        vec = vecs.setdefault(key[:m], [0] * field_degree(n))
-        for i, r in _sparse_power_rows(n)[key[m] % n]:
-            vec[i] += cnt * r
-    terms = {texp: Cyclotomic(n, vec, _den=1) for texp, vec in vecs.items() if any(vec)}
-    return LaurentPoly._raw(m, terms)
+    # reduce the counts of each tuple of minors to Q(zeta_n); multiply out
+    # those that survive once, memoized by prefix, and reduce the sum once
+    scalars, total, products = {}, {}, {(): {(0,) * (m + 1): 1}}
+    for (idt, z), x in states.get((), {}).items():
+        scalars.setdefault(idt, [0] * n)[z] += x
+
+    def product(idt):
+        if idt not in products:
+            products[idt] = out = {}
+            for ka, ca in product(idt[:-1]).items():
+                for kb, zb, cb in idt[-1]:
+                    key = (*map(add, ka, kb), (ka[m] + zb) % n)
+                    out[key] = out.get(key, 0) + ca * cb
+        return products[idt]
+
+    for idt, counts in scalars.items():
+        scalar = [(i, x) for i, x in enumerate(_power_map(counts, n, 1)) if x]
+        if not scalar:
+            continue
+        for key, cnt in product(idt).items():
+            row = total.setdefault(key[:m], [0] * n)
+            for i, x in scalar:
+                row[(key[m] + i) % n] += cnt * x
+    terms = {texp: _power_map(row, n, 1) for texp, row in total.items()}
+    return LaurentPoly._raw(m, {t: Cyclotomic(n, v, _den=1) for t, v in terms.items() if any(v)})
 
 
 def coset_block_sum(mu, m, n, rep):
@@ -112,12 +159,15 @@ def twisted_numerator(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
     """The twisted alternant det(x_p^(mu_j)), x_(k*m+s) = zeta_n^k * t_s:
     the row-set expansion with every block free to pick any m rows.
 
-    The result is an exact Laurent polynomial in t_1..t_m over Q(zeta_n).
-    It is antisymmetric in mu; it collapses to the zero polynomial exactly
-    when the residue classes of mu mod n are not uniformly filled.
+    The result is an exact Laurent polynomial in t_1..t_m over Q(zeta_n),
+    antisymmetric in mu (expanded sorted by residue class, fullest first);
+    it is zero exactly when the residue classes of mu mod n differ in size.
     """
     check_enumeration_bound(m * n, bound)
-    return _row_set_expansion(mu, m, n)
+    residues = [v % n for v in mu]
+    order = sorted(range(len(mu)), key=lambda j: (-residues.count(residues[j]), residues[j]))
+    poly = _row_set_expansion([mu[j] for j in order], m, n)
+    return poly if permutation_parity(order) > 0 else -poly
 
 
 def alternant(exponents):

@@ -134,12 +134,23 @@ def cmd_denom_check(args):
     return EXIT_PASS if match else EXIT_INPUT
 
 
+def audit_json(report):
+    """json.dumps(report.to_dict(), indent=2), the constants spliced in from
+    one template: `indent` makes `json` use its pure-Python encoder."""
+    entry = '    {\n      "perm": [\n        %s\n      ],\n      "omega_power": %d\n    }'
+    data = report.to_dict()
+    entries = ",\n".join(entry % (",\n        ".join(map(str, c["perm"])), c["omega_power"])
+                         for c in data["constants"])
+    text = json.dumps(dict(data, constants=[]), indent=2)
+    return text.replace('"constants": []', f'"constants": [\n{entries}\n  ]') if entries else text
+
+
 def cmd_coset_audit(args):
     lam = _parse_weight(args.lam)
     report = coset_audit(lam, args.m, args.n,
                          outside_sample=args.outside_sample,
                          seed=args.seed, bound=_resolve_bound(args))
-    _write(args, json.dumps(report.to_dict(), indent=2))
+    _write(args, audit_json(report))
     return EXIT_PASS if report.passed else EXIT_INPUT
 
 

@@ -134,10 +134,10 @@ def sign_via_coxeter(lam, etas, conjugate=False):
 
 
 def random_regular_point(rng, m):
-    """m distinct integers drawn from [2, 97], as Fractions.  Distinct
-    positive numbers have distinct n-th powers for every n, so the twisted
-    point on them is regular."""
-    return [Fraction(x) for x in rng.sample(range(2, 98), m)]
+    """m distinct integers drawn from [2, max(97, m + 1)], as Fractions.
+    Distinct positive numbers have distinct n-th powers for every n, so
+    the twisted point on them is regular."""
+    return [Fraction(x) for x in rng.sample(range(2, 2 + max(96, m)), m)]
 
 
 def sample_points(m, n, samples, seed=DEFAULT_SEED):

@@ -1,19 +1,21 @@
 """Second routes kept only to check the package against: the tableau Schur
-polynomial, the alternant-ratio character value, evaluation of a Laurent
-polynomial at a point, all of S_N, the column-row products by explicit
-multiplication, and the permutation that normalizes the residue blocks.
-None of them runs on a product path.
+polynomial, the alternant-ratio character value, the unfactored row-set
+expansion, evaluation of a Laurent polynomial at a point, all of S_N, the
+column-row products by explicit multiplication, and the permutation that
+normalizes the residue blocks.  None of them runs on a product path.
 """
 
 import itertools
 from functools import lru_cache
+from operator import add
 
-from charfactor.characters import det_fraction_free
-from charfactor.cyclotomic import Cyclotomic, as_cyclotomic
+from charfactor.characters import block_key, det_fraction_free
+from charfactor.cyclotomic import (Cyclotomic, _sparse_power_rows, as_cyclotomic,
+                                   field_degree)
 from charfactor.laurent import LaurentPoly
 from charfactor.perms import (DEFAULT_ENUMERATION_BOUND, Perm,
                               check_enumeration_bound, column_subgroup,
-                              row_subgroup)
+                              permutation_parity, row_subgroup)
 from charfactor.weights import check_dominant, shifted_weight
 
 
@@ -109,6 +111,54 @@ def schur_ratio_at_point(lam, point):
     if not denom:
         raise ValueError("point not regular")
     return alternant_at_point(shifted_weight(lam), coords) / denom
+
+
+def _minor_counts(values, rows, m, n):
+    # det(x_p^v), p in the 1-based rows and v in values, as integer counts
+    # by `block_key` (so a minor with proportional rows cancels to nothing)
+    places = [divmod(p - 1, m) for p in rows]
+    counts = {}
+    for arranged in itertools.permutations(range(m)):
+        key = block_key(places, [values[i] for i in arranged], m, n)
+        counts[key] = counts.get(key, 0) + permutation_parity(arranged)
+    return {key: c for key, c in counts.items() if c}
+
+
+def numerator_by_row_sets(mu, m, n, rows=None):
+    """The twisted alternant of mu by the unfactored row-set expansion:
+    each block of mu picks m of the rows still free (any m, or the set
+    rows[k:k+m]) and multiplies the whole signed partial sum, kept as
+    `block_key` counts, by their minor; reduced to Q(zeta_n) at the end."""
+    if len(mu) != m * n:
+        raise ValueError("mu length must be m*n")
+    jumps = m * (m - 1) // 2
+    states = {tuple(range(1, m * n + 1)): {(0,) * (m + 1): 1}}
+    for k in range(0, m * n, m):
+        minors, following = {}, {}
+        for free, partial in states.items():
+            picks = ((tuple(sorted(rows[k:k + m])),) if rows
+                     else itertools.combinations(free, m))
+            for chosen in picks:
+                minor = minors.get(chosen)
+                if minor is None:
+                    minor = minors[chosen] = _minor_counts(mu[k:k + m], chosen, m, n)
+                if not minor:
+                    continue
+                sign = -1 if (sum(map(free.index, chosen)) - jumps) & 1 else 1
+                target = following.setdefault(tuple(p for p in free if p not in chosen), {})
+                for ka, ca in partial.items():
+                    ca *= sign
+                    for kb, cb in minor.items():
+                        key = tuple(map(add, ka, kb))
+                        target[key] = target.get(key, 0) + ca * cb
+        states = following
+    vecs = {}
+    for key, cnt in states.get((), {}).items():
+        vec = vecs.setdefault(key[:m], [0] * field_degree(n))
+        for i, r in _sparse_power_rows(n)[key[m] % n]:
+            vec[i] += cnt * r
+    terms = {texp: Cyclotomic(n, vec, _den=1) for texp, vec in vecs.items() if any(vec)}
+    return LaurentPoly._raw(m, terms)
 
 
 def evaluate(poly, point):

@@ -7,8 +7,8 @@ import pytest
 
 from charfactor.cyclotomic import Cyclotomic, as_cyclotomic, field_degree, zeta
 from charfactor.laurent import LaurentPoly
-from charfactor.perms import EnumerationTooLarge, permutation_parity
-from charfactor.characters import (alternant, coxeter_value,
+from charfactor.perms import EnumerationTooLarge, Perm, permutation_parity, row_coset_reps
+from charfactor.characters import (alternant, coset_block_sum, coxeter_value,
                                    det_fraction_free, schur_at_point,
                                    twisted_numerator,
                                    twisted_vandermonde_closed,
@@ -16,8 +16,9 @@ from charfactor.characters import (alternant, coxeter_value,
 from charfactor.factorize import random_regular_point, twisted_point
 from charfactor.weights import (check_dominant, dominant_weights, normalize_residue_blocks,
                                 staircase)
-from oracles import (alternant_at_point, evaluate, schur_polynomial,
-                     schur_ratio_at_point, symmetric_group)
+from oracles import (alternant_at_point, evaluate, numerator_by_row_sets,
+                     residue_permutation, schur_polynomial, schur_ratio_at_point,
+                     symmetric_group)
 
 
 def weyl_dimension(lam):
@@ -128,6 +129,89 @@ class TestTwistedNumerator:
     def test_length_check(self):
         with pytest.raises(ValueError):
             twisted_numerator((1, 0), 2, 2)
+
+
+def with_repeated_entry(rng, m, n):
+    # a balanced shuffle with its last entry overwritten by its first
+    mu = list(balanced_shuffle(rng, m, n, -3, 3 * m * n))
+    mu[-1] = mu[0]
+    return tuple(mu)
+
+
+def off_normal_form(rng, m, n):
+    # mu in no residue order: distinct entries (mostly unbalanced), entries
+    # drawn with repeats, a balanced shuffle and one with a repeated entry
+    return [tuple(rng.sample(range(-3, 3 * m * n), m * n)),
+            tuple(rng.sample(range(-3, 3 * m * n), m * n)),
+            tuple(rng.randint(-3, 9) for _ in range(m * n)),
+            balanced_shuffle(rng, m, n, -3, 3 * m * n),
+            with_repeated_entry(rng, m, n)]
+
+
+class TestFactoredExpansion:
+    # the factored row-set expansion against the unfactored one, past the
+    # m*n <= 8 of numerator_by_symmetric_group
+    @pytest.mark.parametrize("m,n", [(3, 3), (5, 2), (2, 5), (3, 4), (4, 3), (2, 6), (1, 10)])
+    def test_matches_unfactored_expansion_past_size_eight(self, m, n):
+        # the unfactored expansion of a shuffle takes minutes at m*n = 12,
+        # so it gets the residue-ordered weight and the sign of the order
+        rng = random.Random(100 * m + n)
+        zero, _ = normalize_residue_blocks(staircase(m * n), m, n)
+        for mu in (zero, *(balanced_shuffle(rng, m, n, -3, 9) for _ in range(2))):
+            w = residue_permutation(mu, m, n)
+            expected = numerator_by_row_sets(w.act(mu), m, n)
+            numerator = twisted_numerator(mu, m, n, bound=m * n)
+            assert numerator and numerator == expected.scale(w.sign), mu
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3),
+                                     (1, 6), (1, 10)])
+    def test_matches_unfactored_expansion_off_normal_form(self, m, n):
+        rng = random.Random(200 * m + n)
+        for mu in off_normal_form(rng, m, n):
+            assert twisted_numerator(mu, m, n, bound=10) == numerator_by_row_sets(mu, m, n), mu
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (2, 4)])
+    def test_every_row_coset_matches_unfactored_expansion(self, m, n):
+        # with the rows fixed nothing is sorted by residue, so a block's
+        # values may mix residues and survive with their minors nonzero; at
+        # n = 4 a block whose values differ by 2 mod 4 has classes k mod 2
+        rng = random.Random(300 * m + n)
+        zero, _ = normalize_residue_blocks(staircase(m * n), m, n)
+        nonzero = 0
+        for mu in (zero, *off_normal_form(rng, m, n)):
+            for rep in row_coset_reps(m, n):
+                total = coset_block_sum(mu, m, n, rep)
+                assert total == numerator_by_row_sets(mu, m, n, rep.images), (mu, rep)
+                nonzero += bool(total)
+        assert nonzero
+
+    def test_normal_form_builds_one_minor_per_block(self, monkeypatch):
+        # in residue order every pick with two rows in one t-column is
+        # proportional, and the rest share one minor up to a root of unity
+        module = importlib.import_module("charfactor.characters")
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return block_minor(*args)
+
+        block_minor = module._block_minor
+        monkeypatch.setattr(module, "_block_minor", counted)
+        mu, sign = normalize_residue_blocks(staircase(12), 4, 3)
+        expected = twisted_vandermonde_closed(4, 3).scale(sign)
+        assert twisted_numerator(mu, 4, 3, bound=12) == expected
+        assert len(built) == 3
+
+    def test_fixed_rows_with_a_proportional_pair_build_no_minor(self, monkeypatch):
+        # rows 3 and 5 are zeta_3^k t_1 with k = 1 and 2: proportional on
+        # values of one residue, so the coset sum is zero before any minor
+        def refuse(*args):
+            raise AssertionError("a minor was built")
+
+        monkeypatch.setattr(importlib.import_module("charfactor.characters"),
+                            "_block_minor", refuse)
+        mu, _ = normalize_residue_blocks(staircase(6), 2, 3)
+        assert not coset_block_sum(mu, 2, 3, Perm((1, 2, 3, 5, 4, 6)))
 
 
 class TestAlternant:

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -12,8 +14,8 @@ import charfactor
 from charfactor import cli
 from charfactor.cli import main, run_benchmark
 from charfactor.characters import twisted_numerator
-from charfactor.factorize import (FactorizationCertificate, factorize,
-                                  verify_numeric)
+from charfactor.factorize import (CosetAuditReport, FactorizationCertificate,
+                                  coset_audit, factorize, verify_numeric)
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +217,17 @@ class TestVerifyCommand:
                        "scalar: -3 - 6*z\n"
                        "symbolic: pass\nnumeric: pass\n")
 
+    def test_poly_emit_unbalanced_at_size_ten(self, capsys):
+        # six even and four odd entries in the shifted weight: the
+        # numerator is expanded in full and vanishes
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "verify", "--m", "5", "--n", "2", "--bound", "10",
+                            "--lambda", "1,0,0,0,0,0,0,0,0,0", "--emit", "poly",
+                            "--samples", "1")
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (3, "numerator: 0\nvanishing: pass\n")
+        assert elapsed < 1, f"{elapsed:.2f}s"
+
     def test_bound_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("CHARFACTOR_BOUND", "4")
         code, _ = run_cli(capsys, "verify", "--m", "2", "--n", "3",
@@ -281,6 +294,20 @@ class TestCosetAuditCommand:
         assert code == 2
 
 
+    def test_constants_template_matches_indented_json(self):
+        # the constants are spliced into the rest of the report by text, so
+        # failure messages that quote JSON must not be mistaken for them
+        full = coset_audit((0,) * 10, 2, 5, outside_sample=5, bound=10)
+        assert len(full.omega_powers) == 14400
+        empty = CosetAuditReport(m=2, n=2, lam=(0, 0, 0, 0), tested_outside=0,
+                                 tested_inside=0, omega_powers={},
+                                 invariance_checked=False, failures=["column check"])
+        small = coset_audit((2, 1, 1, 0), 2, 2)
+        failing = dataclasses.replace(small, failures=['"constants": [],\n  "x"', "\u00e9"])
+        for report in (full, empty, small, failing):
+            assert cli.audit_json(report) == json.dumps(report.to_dict(), indent=2)
+
+
 class TestCoxeterCommand:
     def test_standard_weight(self, capsys):
         code, out = run_cli(capsys, "coxeter", "--lambda", "1,0,0,0")
@@ -336,6 +363,14 @@ class TestSweepCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == "error: --min must not exceed --max\n"
+
+    def test_more_coordinates_than_the_sample_range(self, capsys):
+        # t is drawn from [2, 97] up to m = 96 and from [2, m + 1] past it
+        code, out = run_cli(capsys, "sweep", "--m", "97", "--n", "1", "--min", "0",
+                            "--max", "0", "--samples", "1")
+        assert code == 0
+        assert json.loads(out)["summary"] == {"total": 1, "balanced": 1,
+                                              "vanishing": 0, "failed": 0}
 
     def test_csv_emit(self, capsys):
         code, out = run_cli(capsys, "sweep", "--m", "1", "--n", "2",

@@ -19,8 +19,8 @@ from charfactor.weights import (dominant_weights, is_residue_balanced,
                                 normalize_residue_blocks, shifted_weight,
                                 staircase)
 from charfactor.factorize import (FactorizationCertificate, coset_audit,
-                                  coset_block_sum, factorize, sample_points,
-                                  sign_via_coxeter, twisted_point,
+                                  coset_block_sum, factorize, random_regular_point,
+                                  sample_points, sign_via_coxeter, twisted_point,
                                   vanishes_numerically, verify_numeric,
                                   verify_symbolic)
 from charfactor.cli import run_benchmark
@@ -233,6 +233,14 @@ class TestSamplePoints:
                 for t, coords in points:
                     assert all(a != b for a, b in itertools.combinations(coords, 2)), \
                         (m, n, t)
+
+    @pytest.mark.parametrize("m", [96, 97, 150])
+    def test_draws_past_the_default_range(self, m):
+        # up to m = 96 the draw is the one from [2, 97]; past it, from [2, m + 1]
+        t = random_regular_point(random.Random(m), m)
+        assert len(set(t)) == m and min(t) >= 2 and max(t) <= max(97, m + 1)
+        if m <= 96:
+            assert t == [Fraction(x) for x in random.Random(m).sample(range(2, 98), m)]
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_rejected_before_any_point(self, samples):
