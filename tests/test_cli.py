@@ -293,7 +293,6 @@ class TestCosetAuditCommand:
                           "--lambda", ",".join(["0"] * 10), "--outside-sample", "5")
         assert code == 2
 
-
     def test_constants_template_matches_indented_json(self):
         # the constants are spliced into the rest of the report by text, so
         # failure messages that quote JSON must not be mistaken for them
