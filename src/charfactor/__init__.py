@@ -13,8 +13,8 @@ from .weights import (check_dominant, dominant_weights, factor_weights,
                       shifted_weight, staircase)
 from .characters import (alternant, coxeter_value, denominator_scalar,
                          det_fraction_free, schur_at_point,
-                         twisted_numerator, twisted_vandermonde_closed,
-                         twisted_vandermonde_product)
+                         twisted_numerator, twisted_numerator_terms,
+                         twisted_vandermonde_closed, twisted_vandermonde_product)
 from .factorize import (DEFAULT_SEED, CosetAuditReport,
                         FactorizationCertificate, coset_audit,
                         coset_block_sum, factored_value, factorize,

@@ -13,12 +13,13 @@ pick holding such a pair is built; with the rows fixed, one such block
 makes the sum zero before any minor is built.  Each minor that is built is
 +-zeta_n^c times a canonical minor, and a state (the rows still free)
 carries one integer count per power of zeta_n for each tuple of canonical
-minors picked so far; the tuples whose counts survive in Q(zeta_n) are
-multiplied out once at the end.  With the rows free, mu is first sorted by
-residue class mod n, the fullest class first (the sum is antisymmetric in
-mu), so that a block's values mostly share a residue and few picks
-survive.  The unfactored expansion and the brute-force (mn)! and
-row-subgroup sums are test oracles.
+minors picked so far; the tuples whose counts survive in Q(zeta_n) are the
+terms, which `verify_symbolic` matches factor by factor and each sum
+multiplies out once.  With the rows free, mu is first sorted by residue
+class mod n, the fullest class first (the sum is antisymmetric in mu), so
+that a block's values mostly share a residue and few picks survive.  The
+unfactored expansion and the brute-force (mn)! and row-subgroup sums are
+test oracles.
 
 Character values come from one route, Jacobi-Trudi: one determinant over
 the elementary or the complete symmetric functions of a concrete point,
@@ -78,13 +79,14 @@ def _block_minor(values, places, m, n, forms):
 
 
 def _row_set_expansion(mu, m, n, rows=None):
+    # {tuple of canonical minors, one per block: its scalar in Q(zeta_n)};
     # a state is the tuple of rows still free, its value a count per (tuple
     # of the canonical minors picked so far, power of zeta_n); block k picks
     # m free rows in distinct classes (any, or the set rows[k:k+m])
     if len(mu) != m * n:
         raise ValueError("mu length must be m*n")
     if rows is None and len(set(mu)) < len(mu):
-        return LaurentPoly.zero(m)  # two equal columns
+        return {}  # two equal columns
     # rows (k, s) and (k', s) are proportional exactly when step | k' - k
     blocks = [(k, mu[k:k + m], n // gcd(n, *(v - mu[k] for v in mu[k:k + m])))
               for k in range(0, m * n, m)]
@@ -96,7 +98,7 @@ def _row_set_expansion(mu, m, n, rows=None):
         return sorted(out.items())
 
     if rows and any(len(classes(rows[k:k + m], step)) < m for k, _, step in blocks):
-        return LaurentPoly.zero(m)
+        return {}
     jumps, forms = m * (m - 1) // 2, {}
     states = {tuple(range(1, m * n + 1)): {((), 0): 1}}
     for k, values, step in blocks:
@@ -121,11 +123,20 @@ def _row_set_expansion(mu, m, n, rows=None):
                         key = idt + (form,), (z + shift) % n
                         target[key] = target.get(key, 0) + (-x if odd else x)
         states = following
-    # reduce the counts of each tuple of minors to Q(zeta_n); multiply out
-    # those that survive once, memoized by prefix, and reduce the sum once
-    scalars, total, products = {}, {}, {(): {(0,) * (m + 1): 1}}
+    # reduce the counts of each tuple of minors to Q(zeta_n); keep the nonzero
+    scalars = {}
     for (idt, z), x in states.get((), {}).items():
         scalars.setdefault(idt, [0] * n)[z] += x
+    terms = {idt: Cyclotomic(n, _power_map(counts, n, 1), _den=1) for idt, counts in scalars.items()}
+    return {idt: scalar for idt, scalar in terms.items() if scalar}
+
+
+def _multiply_out(terms, m, n):
+    # the Laurent polynomial of the row-set terms: multiply out each tuple
+    # of canonical minors once, memoized by prefix, and reduce the sum once
+    if not terms:
+        return LaurentPoly.zero(m)  # most cosets of a coset audit
+    total, products = {}, {(): {(0,) * (m + 1): 1}}
 
     def product(idt):
         if idt not in products:
@@ -136,13 +147,11 @@ def _row_set_expansion(mu, m, n, rows=None):
                     out[key] = out.get(key, 0) + ca * cb
         return products[idt]
 
-    for idt, counts in scalars.items():
-        scalar = [(i, x) for i, x in enumerate(_power_map(counts, n, 1)) if x]
-        if not scalar:
-            continue
+    for idt, scalar in terms.items():
+        coords = [(i, x) for i, x in enumerate(scalar.num) if x]
         for key, cnt in product(idt).items():
             row = total.setdefault(key[:m], [0] * n)
-            for i, x in scalar:
+            for i, x in coords:
                 row[(key[m] + i) % n] += cnt * x
     terms = {texp: _power_map(row, n, 1) for texp, row in total.items()}
     return LaurentPoly._raw(m, {t: Cyclotomic(n, v, _den=1) for t, v in terms.items() if any(v)})
@@ -152,29 +161,34 @@ def coset_block_sum(mu, m, n, rep):
     """Signed sum of the block-specialized monomials of mu over the left
     coset of the row subgroup represented by rep: the row-set expansion
     with block k of mu fixed to the rows rep(block k); it holds for any mu."""
-    return _row_set_expansion(mu, m, n, rep.images)
+    return _multiply_out(_row_set_expansion(mu, m, n, rep.images), m, n)
 
 
-def twisted_numerator(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
-    """The twisted alternant det(x_p^(mu_j)), x_(k*m+s) = zeta_n^k * t_s:
-    the row-set expansion with every block free to pick any m rows.
-
-    The result is an exact Laurent polynomial in t_1..t_m over Q(zeta_n),
-    antisymmetric in mu (expanded sorted by residue class, fullest first);
-    it is zero exactly when the residue classes of mu mod n differ in size.
-    """
+def twisted_numerator_terms(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
+    """The twisted alternant det(x_p^(mu_j)), x_(k*m+s) = zeta_n^k * t_s, as
+    {tuple of n canonical minors (frozensets of (t-exponents, power of
+    zeta_n, count)): nonzero scalar in Q(zeta_n)}: the row-set expansion
+    with every block free to pick any m rows, on mu sorted by residue
+    class, fullest first, the parity of the sort folded into the scalars."""
     check_enumeration_bound(m * n, bound)
     residues = [v % n for v in mu]
     order = sorted(range(len(mu)), key=lambda j: (-residues.count(residues[j]), residues[j]))
-    poly = _row_set_expansion([mu[j] for j in order], m, n)
-    return poly if permutation_parity(order) > 0 else -poly
+    terms = _row_set_expansion([mu[j] for j in order], m, n)
+    return terms if permutation_parity(order) > 0 else {t: -c for t, c in terms.items()}
+
+
+def twisted_numerator(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
+    """`twisted_numerator_terms` multiplied out: an exact Laurent polynomial
+    in t_1..t_m over Q(zeta_n), antisymmetric in mu, and zero exactly when
+    the residue classes of mu mod n differ in size."""
+    return _multiply_out(twisted_numerator_terms(mu, m, n, bound), m, n)
 
 
 def alternant(exponents):
     """det(t_s^(e_j)), the alternating sum over all arrangements of the
     exponent vector, as a Laurent polynomial: the case n = 1 of the
     row-set expansion."""
-    return _row_set_expansion(exponents, len(exponents), 1)
+    return _multiply_out(_row_set_expansion(exponents, len(exponents), 1), len(exponents), 1)
 
 
 def twisted_vandermonde_product(m, n):

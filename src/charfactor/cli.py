@@ -24,7 +24,7 @@ from .characters import (schur_at_point, coxeter_value, twisted_numerator,
 from .weights import shifted_weight
 from .factorize import (DEFAULT_SEED, coset_audit, factored_value, factorize,
                         sample_points, vanishes_numerically, verify_numerator,
-                        verify_numeric)
+                        verify_numeric, verify_symbolic)
 
 EXIT_PASS = 0
 EXIT_INPUT = 1
@@ -96,8 +96,11 @@ def cmd_verify(args):
             }
             _write(args, json.dumps(report, indent=2))
         return EXIT_VANISHING if ok else EXIT_INPUT
-    numerator = twisted_numerator(cert.mu, args.m, args.n, bound=bound)
-    sym_ok, scalar = verify_numerator(cert, numerator)
+    if args.emit == "poly":
+        numerator = twisted_numerator(cert.mu, args.m, args.n, bound=bound)
+        sym_ok, scalar = verify_numerator(cert, numerator)
+    else:
+        sym_ok, scalar = verify_symbolic(cert, bound)
     num_ok = verify_numeric(cert, samples=args.samples, seed=args.seed)
     if args.emit == "poly":
         lines = [

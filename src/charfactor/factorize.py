@@ -5,7 +5,7 @@ staircase, tests the residue-balance condition, normalizes into residue
 blocks, reads off one rank-m weight per block, and pins the overall sign.
 The resulting certificate is exact and independently checkable two ways:
 numerically (exact equality at random rational points) and symbolically
-(the full alternating-sum identity, term by term).
+(the alternating-sum identity, factor by factor, else multiplied out).
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .laurent import LaurentPoly
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure, Perm,
                     check_enumeration_bound, is_column_row_product,
                     row_coset_reps, column_subgroup)
-from .characters import (alternant, coset_block_sum,
+from .characters import (_block_minor, _multiply_out, alternant, coset_block_sum,
                          coxeter_value, denominator_scalar, schur_at_point,
-                         twisted_numerator)
+                         twisted_numerator_terms)
 from .weights import (check_dominant, factor_weights, is_residue_balanced,
                       normalize_residue_blocks, shifted_weight, staircase)
 
@@ -173,17 +173,30 @@ def verify_numeric(cert, samples=5, seed=DEFAULT_SEED):
 
 
 def verify_symbolic(cert, bound=DEFAULT_ENUMERATION_BOUND):
-    """Check the alternating-sum identity behind the certificate.
-
-    The full twisted numerator of mu must equal a single scalar times
-    (t_1..t_m)^(n(n-1)/2) times the product of the block alternants in the
-    variables t^n; and that scalar, combined with the rearrangement sign
-    and the denominator constant, must reproduce epsilon.  Returns
-    (ok, scalar); scalar is None when no single scalar matches.
-    """
+    """Check the alternating-sum identity behind the certificate: the twisted
+    numerator of mu must be a single scalar times the product over the
+    blocks k of det(t_s^(k + n(eta_k + rho)_j)), which is (t_1..t_m)^(n(n-1)/2)
+    times the block alternants in t^n; and that scalar, with the
+    rearrangement sign and the denominator constant, must reproduce
+    epsilon.  Returns (ok, scalar); scalar is None when no single scalar
+    matches.  One tuple of terms whose k-th minor is that determinant's
+    passes with its scalar times their signs; anything else is multiplied
+    out and compared term by term (`verify_numerator`)."""
     if not cert.balanced:
         raise ValueError("certificate is a vanishing certificate; nothing to factor")
-    return verify_numerator(cert, twisted_numerator(cert.mu, cert.m, cert.n, bound=bound))
+    m, n = cert.m, cert.n
+    terms = twisted_numerator_terms(cert.mu, m, n, bound=bound)
+    if len(terms) == 1 and [len(eta) for eta in cert.etas] == [m] * n:
+        [(idt, scalar)] = terms.items()
+        for k, (form, eta) in enumerate(zip(idt, cert.etas)):
+            values = [k + n * (e + r) for e, r in zip(eta, staircase(m))]
+            minor = _block_minor(values, [(0, s) for s in range(m)], m, n, {})
+            if minor is None or minor[0] != form:
+                break
+            scalar = scalar if minor[2] > 0 else -scalar
+        else:
+            return scalar * cert.w0_sign == denominator_scalar(m, n) * cert.epsilon, scalar
+    return verify_numerator(cert, _multiply_out(terms, m, n))
 
 
 def verify_numerator(cert, lhs):

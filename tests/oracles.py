@@ -1,8 +1,9 @@
 """Second routes kept only to check the package against: the tableau Schur
 polynomial, the alternant-ratio character value, the unfactored row-set
 expansion, evaluation of a Laurent polynomial at a point, all of S_N, the
-column-row products by explicit multiplication, and the permutation that
-normalizes the residue blocks.  None of them runs on a product path.
+column-row products by explicit multiplication, the permutation that
+normalizes the residue blocks, and Littlewood's n-sign by ribbon removal.
+None of them runs on a product path.
 """
 
 import itertools
@@ -213,3 +214,25 @@ def residue_permutation(vec, m, n):
         raise ValueError("vector length must be m*n")
     order = sorted(range(m * n), key=lambda i: (vec[i] % n, -vec[i]))
     return Perm(i + 1 for i in order).inverse()
+
+
+def littlewood_sign(lam, n):
+    """Littlewood's n-sign of the dominant weight lam, with its n-core:
+    (sign, core is empty).  The sign is (-1) to the sum of the leg lengths
+    of the n-ribbons removed down to the n-core (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.1 Ex. 8), read off the beta-numbers
+    lam + staircase: a ribbon removal moves a bead b to the free place
+    b - n, its leg length the number of beads in between.  A weight with
+    negative entries is first shifted by an even constant, which leaves
+    the sign of the factorization alone."""
+    lam = tuple(lam)
+    shift = -lam[-1] + lam[-1] % 2 if lam and lam[-1] < 0 else 0
+    beads = set(shifted_weight(tuple(x + shift for x in lam)))
+    legs = 0
+    while True:
+        bead = next((b for b in sorted(beads) if b >= n and b - n not in beads), None)
+        if bead is None:
+            return (-1) ** legs, beads == set(range(len(lam)))
+        legs += sum(1 for x in beads if bead - n < x < bead)
+        beads.remove(bead)
+        beads.add(bead - n)

@@ -120,6 +120,25 @@ def test_criterion_3_symbolic_factorization_past_size_nine():
            ok, time.perf_counter() - start, budget=5)
 
 
+def test_criterion_3_symbolic_factorization_past_size_twelve():
+    # the symbolic half of verify at m*n = 12 to 16, decided factor by
+    # factor: the zero weight and the first two balanced weights in [0, 3]
+    # that are not constant
+    start = time.perf_counter()
+    ok = True
+    checked = 0
+    for m, n in ((4, 4), (3, 5), (5, 3), (6, 2)):
+        balanced = [lam for lam in sorted(dominant_weights(m * n, 0, 3))
+                    if lam[0] != lam[-1] and is_residue_balanced(shifted_weight(lam), m, n)]
+        for lam in [(0,) * (m * n)] + balanced[:2]:
+            checked += 1
+            sym_ok, scalar = verify_symbolic(factorize(lam, m, n), bound=m * n)
+            ok = ok and sym_ok and scalar is not None
+    assert checked == 12
+    report(f"3 symbolic factorization past m*n = 12 ({checked} weights)",
+           ok, time.perf_counter() - start, budget=8)
+
+
 def test_criterion_4_column_row_counts():
     start = time.perf_counter()
     ok = True

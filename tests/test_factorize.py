@@ -14,17 +14,35 @@ from charfactor.perms import (BlockStructure, EnumerationTooLarge, Perm,
                               is_column_row_product, row_coset_reps,
                               row_subgroup, column_subgroup)
 from charfactor.characters import (alternant, block_key, schur_at_point,
-                                   twisted_numerator)
+                                   twisted_numerator, twisted_numerator_terms)
 from charfactor.weights import (dominant_weights, is_residue_balanced,
                                 normalize_residue_blocks, shifted_weight,
                                 staircase)
 from charfactor.factorize import (FactorizationCertificate, coset_audit,
                                   coset_block_sum, factorize, random_regular_point,
                                   sample_points, sign_via_coxeter, twisted_point,
-                                  vanishes_numerically, verify_numeric,
-                                  verify_symbolic)
+                                  vanishes_numerically, verify_numerator,
+                                  verify_numeric, verify_symbolic)
 from charfactor.cli import run_benchmark
-from oracles import symmetric_group
+from oracles import littlewood_sign, symmetric_group
+
+# the weights of TestSignViaCoxeter.test_closed_form_matches_determinant_oracle
+SIGN_GRID = (((2, 2), -2, 3), ((2, 3), -1, 2), ((3, 2), -1, 2),
+             ((2, 4), 0, 2), ((4, 2), 0, 2))
+# the grid of the perfbench symbolic workload
+SYMBOLIC_GRID = (((2, 3), 0, 2), ((3, 2), 0, 2), ((2, 4), 0, 1), ((4, 2), 0, 1))
+
+
+def balanced_weights(m, n, lo, hi):
+    return [lam for lam in sorted(dominant_weights(m * n, lo, hi))
+            if is_residue_balanced(shifted_weight(lam), m, n)]
+
+
+def past_twelve_weights(m, n):
+    # as in the acceptance test past m*n = 12: the zero weight and the first
+    # two balanced weights in [0, 3] that are not constant
+    return [(0,) * (m * n)] + [lam for lam in balanced_weights(m, n, 0, 3)
+                               if lam[0] != lam[-1]][:2]
 
 
 class TestFactorize:
@@ -116,6 +134,25 @@ class TestSignViaCoxeter:
                     assert sign == cert.epsilon, lam
         assert (total, decided) == (161, 48)
 
+    def test_closed_form_matches_littlewood_sign(self):
+        # the n-sign decides every weight the Coxeter oracle above leaves open
+        total = 0
+        for (m, n), lo, hi in SIGN_GRID:
+            for lam in dominant_weights(m * n, lo, hi):
+                if is_residue_balanced(shifted_weight(lam), m, n):
+                    total += 1
+                    assert littlewood_sign(lam, n)[0] == factorize(lam, m, n).epsilon, lam
+        assert total == 161
+
+    def test_balanced_exactly_when_n_core_empty(self):
+        checked = 0
+        for (m, n), lo, hi in SIGN_GRID:
+            for lam in dominant_weights(m * n, lo, hi):
+                checked += 1
+                assert littlewood_sign(lam, n)[1] == \
+                    is_residue_balanced(shifted_weight(lam), m, n), lam
+        assert checked == 384
+
     @pytest.mark.parametrize("m,n", [(4, 4), (3, 5), (6, 6)])
     def test_factorize_needs_no_determinant(self, monkeypatch, m, n):
         def refuse(matrix):
@@ -196,6 +233,64 @@ class TestVerifySymbolic:
         ok, scalar = verify_symbolic(bad)
         assert not ok
         assert scalar is None
+
+    def test_factored_check_decides_every_certificate(self, monkeypatch):
+        # verify_symbolic gives the multiplied-out comparison's (ok, scalar)
+        # on the balanced weights of the perfbench symbolic grid and of the
+        # acceptance test past m*n = 12, while that comparison is refused
+        # inside factorize, so the factored match decides them all.  At
+        # (5, 3) and (6, 2) the multiplied-out side takes 3-6 s a weight,
+        # so the scalar it gave there is pinned instead.
+        weights = [(m, n, lam) for (m, n), lo, hi in SYMBOLIC_GRID
+                   for lam in balanced_weights(m, n, lo, hi)]
+        weights += [(m, n, lam) for m, n in ((4, 4), (3, 5)) for lam in past_twelve_weights(m, n)]
+        cases = []
+        for m, n, lam in weights:
+            cert = factorize(lam, m, n)
+            ok, scalar = verify_numerator(cert, twisted_numerator(cert.mu, m, n, bound=m * n))
+            cases.append((cert, ok, str(scalar)))
+        for (m, n), scalar in (((5, 3), "-2187 - 4374*z"), ((6, 2), "64")):
+            cases += [(factorize(lam, m, n), True, scalar) for lam in past_twelve_weights(m, n)]
+
+        def refuse(cert, lhs):
+            raise AssertionError("the factored check left a certificate undecided")
+
+        monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
+                            "verify_numerator", refuse)
+        assert len(cases) == 45
+        for cert, ok, scalar in cases:
+            got, got_scalar = verify_symbolic(cert, bound=cert.m * cert.n)
+            assert (got, str(got_scalar)) == (ok, scalar), cert.lam
+            assert got
+
+    def test_forged_certificates_get_the_multiplied_out_answer(self):
+        cert = factorize((2, 2, 2, 2, 1, 0), 2, 3)
+        assert cert.etas == ((1, 0), (1, 1), (0, 0))
+        ok, scalar = verify_symbolic(cert)
+        assert ok and str(scalar) == "-27"
+        # eta swapped between two blocks: the product is unchanged, so the
+        # multiplied-out fallback passes with the same scalar
+        swapped = dataclasses.replace(cert, etas=((1, 1), (1, 0), (0, 0)))
+        assert verify_symbolic(swapped) == (True, scalar)
+        assert verify_symbolic(swapped) == verify_numerator(
+            swapped, twisted_numerator(cert.mu, 2, 3))
+        shifted = dataclasses.replace(cert, etas=((2, 1), (1, 1), (0, 0)))
+        assert verify_symbolic(shifted) == (False, None)
+        flipped = dataclasses.replace(cert, epsilon=-cert.epsilon)
+        assert verify_symbolic(flipped) == (False, scalar)
+
+    def test_two_surviving_tuples_are_multiplied_out(self, monkeypatch):
+        # a numerator with a second tuple beside the matching one is not a
+        # scalar times the factored side; matching its first tuple alone
+        # would pass it
+        cert = factorize((2, 2, 2, 2, 1, 0), 2, 3)
+        terms = twisted_numerator_terms(cert.mu, 2, 3)
+        other = twisted_numerator_terms(factorize((0,) * 6, 2, 3).mu, 2, 3)
+        assert len(terms) == len(other) == 1 and terms.keys() != other.keys()
+        monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
+                            "twisted_numerator_terms",
+                            lambda *args, **kwargs: {**terms, **other})
+        assert verify_symbolic(cert) == (False, None)
 
     def test_agrees_with_numeric_on_stock(self):
         for lam in dominant_weights(4, 0, 2):
