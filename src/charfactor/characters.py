@@ -14,12 +14,13 @@ makes the sum zero before any minor is built.  Each minor that is built is
 +-zeta_n^c times a canonical minor, and a state (the rows still free)
 carries one integer count per power of zeta_n for each tuple of canonical
 minors picked so far; the tuples whose counts survive in Q(zeta_n) are the
-terms, which `verify_symbolic` matches factor by factor and each sum
-multiplies out once.  With the rows free, mu is first sorted by residue
-class mod n, the fullest class first (the sum is antisymmetric in mu), so
-that a block's values mostly share a residue and few picks survive.  The
-unfactored expansion and the brute-force (mn)! and row-subgroup sums are
-test oracles.
+terms.  `factorize.verify_terms` decides the symbolic identity on them,
+and `multiply_out` turns them into each sum's Laurent polynomial, once.
+With the rows free, mu is first sorted by residue class mod n, the fullest
+class first (the sum is antisymmetric in mu), so that a block's values
+mostly share a residue and few picks survive.  The unfactored expansion,
+the brute-force (mn)! and row-subgroup sums, and the identity compared
+multiplied out through `alternant` are test oracles.
 
 Character values come from one route, Jacobi-Trudi: one determinant over
 the elementary or the complete symmetric functions of a concrete point,
@@ -131,9 +132,9 @@ def _row_set_expansion(mu, m, n, rows=None):
     return {idt: scalar for idt, scalar in terms.items() if scalar}
 
 
-def _multiply_out(terms, m, n):
-    # the Laurent polynomial of the row-set terms: multiply out each tuple
-    # of canonical minors once, memoized by prefix, and reduce the sum once
+def multiply_out(terms, m, n):
+    """The Laurent polynomial of row-set terms (scalars in Z[zeta_n]): each
+    tuple of canonical minors multiplied out once, by prefix, summed once."""
     if not terms:
         return LaurentPoly.zero(m)  # most cosets of a coset audit
     total, products = {}, {(): {(0,) * (m + 1): 1}}
@@ -161,7 +162,7 @@ def coset_block_sum(mu, m, n, rep):
     """Signed sum of the block-specialized monomials of mu over the left
     coset of the row subgroup represented by rep: the row-set expansion
     with block k of mu fixed to the rows rep(block k); it holds for any mu."""
-    return _multiply_out(_row_set_expansion(mu, m, n, rep.images), m, n)
+    return multiply_out(_row_set_expansion(mu, m, n, rep.images), m, n)
 
 
 def twisted_numerator_terms(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
@@ -181,14 +182,14 @@ def twisted_numerator(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
     """`twisted_numerator_terms` multiplied out: an exact Laurent polynomial
     in t_1..t_m over Q(zeta_n), antisymmetric in mu, and zero exactly when
     the residue classes of mu mod n differ in size."""
-    return _multiply_out(twisted_numerator_terms(mu, m, n, bound), m, n)
+    return multiply_out(twisted_numerator_terms(mu, m, n, bound), m, n)
 
 
 def alternant(exponents):
     """det(t_s^(e_j)), the alternating sum over all arrangements of the
     exponent vector, as a Laurent polynomial: the case n = 1 of the
     row-set expansion."""
-    return _multiply_out(_row_set_expansion(exponents, len(exponents), 1), len(exponents), 1)
+    return multiply_out(_row_set_expansion(exponents, len(exponents), 1), len(exponents), 1)
 
 
 def twisted_vandermonde_product(m, n):

@@ -19,12 +19,13 @@ from statistics import mean
 
 from .perms import (DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge,
                     check_enumeration_bound)
-from .characters import (schur_at_point, coxeter_value, twisted_numerator,
+from .characters import (schur_at_point, coxeter_value, multiply_out,
+                         twisted_numerator, twisted_numerator_terms,
                          twisted_vandermonde_closed, twisted_vandermonde_product)
 from .weights import shifted_weight
 from .factorize import (DEFAULT_SEED, coset_audit, factored_value, factorize,
-                        sample_points, vanishes_numerically, verify_numerator,
-                        verify_numeric, verify_symbolic)
+                        sample_points, vanishes_numerically, verify_numeric,
+                        verify_terms)
 
 EXIT_PASS = 0
 EXIT_INPUT = 1
@@ -96,15 +97,12 @@ def cmd_verify(args):
             }
             _write(args, json.dumps(report, indent=2))
         return EXIT_VANISHING if ok else EXIT_INPUT
-    if args.emit == "poly":
-        numerator = twisted_numerator(cert.mu, args.m, args.n, bound=bound)
-        sym_ok, scalar = verify_numerator(cert, numerator)
-    else:
-        sym_ok, scalar = verify_symbolic(cert, bound)
+    terms = twisted_numerator_terms(cert.mu, args.m, args.n, bound=bound)
+    sym_ok, scalar = verify_terms(cert, terms)
     num_ok = verify_numeric(cert, samples=args.samples, seed=args.seed)
     if args.emit == "poly":
         lines = [
-            f"numerator: {numerator}",
+            f"numerator: {multiply_out(terms, args.m, args.n)}",
             f"scalar: {scalar}" if scalar is not None else "scalar: none",
             f"symbolic: {'pass' if sym_ok else 'fail'}",
             f"numeric: {'pass' if num_ok else 'fail'}",
@@ -289,7 +287,8 @@ def build_parser():
             p.add_argument("--n", type=int, required=True)
         if weight:
             p.add_argument("--lambda", dest="lam", required=True,
-                           help="comma-separated weakly decreasing integers")
+                           help="comma-separated weakly decreasing integers "
+                                "(--lambda=-1,-1,-2,-2 when the first is negative)")
         if samples:
             p.add_argument("--samples", type=int, default=5)
         p.set_defaults(func=func, emits=emits)

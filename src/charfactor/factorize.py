@@ -5,7 +5,8 @@ staircase, tests the residue-balance condition, normalizes into residue
 blocks, reads off one rank-m weight per block, and pins the overall sign.
 The resulting certificate is exact and independently checkable two ways:
 numerically (exact equality at random rational points) and symbolically
-(the alternating-sum identity, factor by factor, else multiplied out).
+(`verify_terms`, on the row-set terms of the numerator; the identity
+multiplied out through `alternant` is its test oracle).
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from math import factorial, gcd
 from operator import mul
 
 from .cyclotomic import Cyclotomic, zeta
-from .laurent import LaurentPoly
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure, Perm,
                     check_enumeration_bound, is_column_row_product,
                     row_coset_reps, column_subgroup)
-from .characters import (_block_minor, _multiply_out, alternant, coset_block_sum,
-                         coxeter_value, denominator_scalar, schur_at_point,
+from .characters import (_block_minor, coset_block_sum, coxeter_value,
+                         denominator_scalar, multiply_out, schur_at_point,
                          twisted_numerator_terms)
 from .weights import (check_dominant, factor_weights, is_residue_balanced,
                       normalize_residue_blocks, shifted_weight, staircase)
@@ -178,38 +178,37 @@ def verify_symbolic(cert, bound=DEFAULT_ENUMERATION_BOUND):
     blocks k of det(t_s^(k + n(eta_k + rho)_j)), which is (t_1..t_m)^(n(n-1)/2)
     times the block alternants in t^n; and that scalar, with the
     rearrangement sign and the denominator constant, must reproduce
-    epsilon.  Returns (ok, scalar); scalar is None when no single scalar
-    matches.  One tuple of terms whose k-th minor is that determinant's
-    passes with its scalar times their signs; anything else is multiplied
-    out and compared term by term (`verify_numerator`)."""
+    epsilon.  Returns (ok, scalar) from `verify_terms` on the row-set terms
+    of the numerator; scalar is None when no single scalar matches."""
     if not cert.balanced:
         raise ValueError("certificate is a vanishing certificate; nothing to factor")
-    m, n = cert.m, cert.n
-    terms = twisted_numerator_terms(cert.mu, m, n, bound=bound)
-    if len(terms) == 1 and [len(eta) for eta in cert.etas] == [m] * n:
-        [(idt, scalar)] = terms.items()
-        for k, (form, eta) in enumerate(zip(idt, cert.etas)):
-            values = [k + n * (e + r) for e, r in zip(eta, staircase(m))]
-            minor = _block_minor(values, [(0, s) for s in range(m)], m, n, {})
-            if minor is None or minor[0] != form:
-                break
-            scalar = scalar if minor[2] > 0 else -scalar
-        else:
-            return scalar * cert.w0_sign == denominator_scalar(m, n) * cert.epsilon, scalar
-    return verify_numerator(cert, _multiply_out(terms, m, n))
+    return verify_terms(cert, twisted_numerator_terms(cert.mu, cert.m, cert.n, bound=bound))
 
 
-def verify_numerator(cert, lhs):
-    """`verify_symbolic` given lhs, the twisted numerator of cert.mu."""
+def verify_terms(cert, terms):
+    """`verify_symbolic` given terms, the `twisted_numerator_terms` of
+    cert.mu.  The factored side is the tuple of the n canonical minors of
+    det(t_s^(k + n(eta_k + rho)_j)); terms that are exactly that tuple pass
+    with its scalar times their signs, anything else is compared multiplied
+    out.  Etas not n weights of length m, or a zero minor, match no scalar."""
     m, n = cert.m, cert.n
-    rho = staircase(m)
-    rhs = LaurentPoly.monomial((n * (n - 1) // 2,) * m, 1)
-    for eta in cert.etas:
-        rhs = rhs * alternant(tuple(e + r for e, r in zip(eta, rho))).power_substitute(n)
-    scalar = lhs.scalar_ratio(rhs)
-    if scalar is None:
+    if len(cert.etas) != n or any(len(eta) != m for eta in cert.etas):
         return False, None
-    ok = scalar * cert.w0_sign == denominator_scalar(m, n) * cert.epsilon
+    forms, sign = [], 1
+    for k, eta in enumerate(cert.etas):
+        values = [k + n * (e + r) for e, r in zip(eta, staircase(m))]
+        minor = _block_minor(values, [(0, s) for s in range(m)], m, n, {})
+        if minor is None:
+            return False, None
+        forms.append(minor[0])
+        sign *= minor[2]
+    rhs = tuple(forms)
+    if terms.keys() == {rhs}:
+        scalar = terms[rhs] if sign > 0 else -terms[rhs]
+    else:
+        scalar = multiply_out(terms, m, n).scalar_ratio(
+            multiply_out({rhs: Cyclotomic.rational(sign, n)}, m, n))
+    ok = scalar is not None and scalar * cert.w0_sign == denominator_scalar(m, n) * cert.epsilon
     return ok, scalar
 
 

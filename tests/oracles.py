@@ -1,23 +1,26 @@
 """Second routes kept only to check the package against: the tableau Schur
 polynomial, the alternant-ratio character value, the unfactored row-set
-expansion, evaluation of a Laurent polynomial at a point, all of S_N, the
-column-row products by explicit multiplication, the permutation that
-normalizes the residue blocks, and Littlewood's n-sign by ribbon removal.
-None of them runs on a product path.
+expansion, the symbolic identity with its right-hand side rebuilt through
+`alternant` and compared multiplied out, evaluation of a Laurent
+polynomial at a point, all of S_N, the column-row products by explicit
+multiplication, the permutation that normalizes the residue blocks, and
+Littlewood's n-sign by ribbon removal.  None of them runs on a product
+path.
 """
 
 import itertools
 from functools import lru_cache
 from operator import add
 
-from charfactor.characters import block_key, det_fraction_free
+from charfactor.characters import (alternant, block_key, denominator_scalar,
+                                   det_fraction_free)
 from charfactor.cyclotomic import (Cyclotomic, _sparse_power_rows, as_cyclotomic,
                                    field_degree)
 from charfactor.laurent import LaurentPoly
 from charfactor.perms import (DEFAULT_ENUMERATION_BOUND, Perm,
                               check_enumeration_bound, column_subgroup,
                               permutation_parity, row_subgroup)
-from charfactor.weights import check_dominant, shifted_weight
+from charfactor.weights import check_dominant, shifted_weight, staircase
 
 
 def _ssyt_weights(shape, nvars):
@@ -160,6 +163,20 @@ def numerator_by_row_sets(mu, m, n, rows=None):
             vec[i] += cnt * r
     terms = {texp: Cyclotomic(n, vec, _den=1) for texp, vec in vecs.items() if any(vec)}
     return LaurentPoly._raw(m, terms)
+
+
+def verify_numerator(cert, lhs):
+    """`verify_symbolic` given lhs, the twisted numerator of cert.mu."""
+    m, n = cert.m, cert.n
+    rho = staircase(m)
+    rhs = LaurentPoly.monomial((n * (n - 1) // 2,) * m, 1)
+    for eta in cert.etas:
+        rhs = rhs * alternant(tuple(e + r for e, r in zip(eta, rho))).power_substitute(n)
+    scalar = lhs.scalar_ratio(rhs)
+    if scalar is None:
+        return False, None
+    ok = scalar * cert.w0_sign == denominator_scalar(m, n) * cert.epsilon
+    return ok, scalar
 
 
 def evaluate(poly, point):

@@ -13,7 +13,7 @@ import pytest
 import charfactor
 from charfactor import cli
 from charfactor.cli import main, run_benchmark
-from charfactor.characters import twisted_numerator
+from charfactor.characters import twisted_numerator, twisted_numerator_terms
 from charfactor.factorize import (CosetAuditReport, FactorizationCertificate,
                                   coset_audit, factorize, verify_numeric)
 
@@ -191,25 +191,35 @@ class TestVerifyCommand:
         assert "symbolic: pass" in out
 
     def test_poly_emit_computes_numerator_once(self, capsys, monkeypatch):
+        # both formats decide on one row-set expansion, which poly also prints
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return twisted_numerator(*args, **kwargs)
+            return twisted_numerator_terms(*args, **kwargs)
 
-        # factorize checks the identity on twisted_numerator_terms and no
-        # longer imports twisted_numerator; a call through it would still count
         for name in ("charfactor.cli", "charfactor.factorize"):
-            monkeypatch.setattr(importlib.import_module(name), "twisted_numerator", counted,
-                                raising=False)
-        code, out = run_cli(capsys, "verify", "--m", "3", "--n", "2",
-                            "--lambda", "2,1,1,0,0,0", "--emit", "poly",
-                            "--samples", "1")
+            monkeypatch.setattr(importlib.import_module(name), "twisted_numerator_terms",
+                                counted)
+        argv = ("verify", "--m", "3", "--n", "2", "--lambda", "2,1,1,0,0,0", "--samples", "1")
+        code, out = run_cli(capsys, *argv, "--emit", "poly")
         assert code == 0
         assert len(calls) == 1
         mu = factorize((2, 1, 1, 0, 0, 0), 3, 2).mu
         assert out == (f"numerator: {twisted_numerator(mu, 3, 2)}\n"
                        "scalar: -8\nsymbolic: pass\nnumeric: pass\n")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == 2
+        assert json.loads(out)["checks"][0] == {"check": "symbolic-scalar", "pass": True,
+                                                "scalar": "-8"}
+
+    def test_negative_leading_weight(self, capsys):
+        # argparse reads "--lambda -1,..." as a missing value; the = form works
+        code, out = run_cli(capsys, "verify", "--m", "2", "--n", "2",
+                            "--lambda=-1,-1,-2,-2", "--samples", "1")
+        assert code == 0
+        assert all(check["pass"] for check in json.loads(out)["checks"])
 
     def test_poly_emit_pins_non_rational_numerator(self, capsys):
         # n = 3 and odd m: the coefficients lie in Q(zeta_3) but not in Q

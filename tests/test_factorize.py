@@ -21,10 +21,10 @@ from charfactor.weights import (dominant_weights, is_residue_balanced,
 from charfactor.factorize import (FactorizationCertificate, coset_audit,
                                   coset_block_sum, factorize, random_regular_point,
                                   sample_points, sign_via_coxeter, twisted_point,
-                                  vanishes_numerically, verify_numerator,
-                                  verify_numeric, verify_symbolic)
+                                  vanishes_numerically, verify_numeric,
+                                  verify_symbolic)
 from charfactor.cli import run_benchmark
-from oracles import littlewood_sign, symmetric_group
+from oracles import littlewood_sign, symmetric_group, verify_numerator
 
 # the weights of TestSignViaCoxeter.test_closed_form_matches_determinant_oracle
 SIGN_GRID = (((2, 2), -2, 3), ((2, 3), -1, 2), ((3, 2), -1, 2),
@@ -235,12 +235,12 @@ class TestVerifySymbolic:
         assert scalar is None
 
     def test_factored_check_decides_every_certificate(self, monkeypatch):
-        # verify_symbolic gives the multiplied-out comparison's (ok, scalar)
-        # on the balanced weights of the perfbench symbolic grid and of the
-        # acceptance test past m*n = 12, while that comparison is refused
+        # verify_symbolic gives the oracle's multiplied-out (ok, scalar) on
+        # the balanced weights of the perfbench symbolic grid and of the
+        # acceptance test past m*n = 12, while multiplying out is refused
         # inside factorize, so the factored match decides them all.  At
-        # (5, 3) and (6, 2) the multiplied-out side takes 3-6 s a weight,
-        # so the scalar it gave there is pinned instead.
+        # (5, 3) and (6, 2) the oracle takes 3-6 s a weight, so the scalar
+        # it gave there is pinned instead.
         weights = [(m, n, lam) for (m, n), lo, hi in SYMBOLIC_GRID
                    for lam in balanced_weights(m, n, lo, hi)]
         weights += [(m, n, lam) for m, n in ((4, 4), (3, 5)) for lam in past_twelve_weights(m, n)]
@@ -252,11 +252,11 @@ class TestVerifySymbolic:
         for (m, n), scalar in (((5, 3), "-2187 - 4374*z"), ((6, 2), "64")):
             cases += [(factorize(lam, m, n), True, scalar) for lam in past_twelve_weights(m, n)]
 
-        def refuse(cert, lhs):
+        def refuse(terms, m, n):
             raise AssertionError("the factored check left a certificate undecided")
 
         monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
-                            "verify_numerator", refuse)
+                            "multiply_out", refuse)
         assert len(cases) == 45
         for cert, ok, scalar in cases:
             got, got_scalar = verify_symbolic(cert, bound=cert.m * cert.n)
@@ -278,6 +278,16 @@ class TestVerifySymbolic:
         assert verify_symbolic(shifted) == (False, None)
         flipped = dataclasses.replace(cert, epsilon=-cert.epsilon)
         assert verify_symbolic(flipped) == (False, scalar)
+
+    @pytest.mark.parametrize("etas", [
+        ((1, 0, 0), (1, 1, 0), (0, 0, 0)),  # an extra entry in every eta
+        ((1,), (1, 1), (0, 0)),  # a short eta
+        ((1, 0), (1, 1), (0, 0), (0, 0)),  # one eta too many
+        ((1, 0), (1, 1), (0, 1)),  # eta + rho repeats a value: the minor is zero
+    ])
+    def test_malformed_etas_have_no_scalar(self, etas):
+        cert = factorize((2, 2, 2, 2, 1, 0), 2, 3)
+        assert verify_symbolic(dataclasses.replace(cert, etas=etas)) == (False, None)
 
     def test_two_surviving_tuples_are_multiplied_out(self, monkeypatch):
         # a numerator with a second tuple beside the matching one is not a
