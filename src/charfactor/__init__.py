@@ -14,7 +14,7 @@ from .weights import (check_dominant, dominant_weights, factor_weights,
 from .characters import (alternant, coxeter_value, denominator_scalar,
                          det_fraction_free, schur_at_point,
                          twisted_numerator, twisted_numerator_terms,
-                         twisted_vandermonde_closed, twisted_vandermonde_product)
+                         twisted_vandermonde_closed)
 from .factorize import (DEFAULT_SEED, CosetAuditReport,
                         FactorizationCertificate, coset_audit,
                         coset_block_sum, factored_value, factorize,

@@ -18,9 +18,12 @@ terms.  `factorize.verify_terms` decides the symbolic identity on them,
 and `multiply_out` turns them into each sum's Laurent polynomial, once.
 With the rows free, mu is first sorted by residue class mod n, the fullest
 class first (the sum is antisymmetric in mu), so that a block's values
-mostly share a residue and few picks survive.  The unfactored expansion,
-the brute-force (mn)! and row-subgroup sums, and the identity compared
-multiplied out through `alternant` are test oracles.
+mostly share a residue and few picks survive.  The twisted Vandermonde
+is the numerator of the staircase, det(x_p^(rho_j)) = prod_(a<b) (x_a -
+x_b), so it takes the same route.  The unfactored expansion, the
+brute-force (mn)! and row-subgroup sums, the identity compared multiplied
+out through `alternant`, and the Vandermonde multiplied out factor by
+factor are test oracles.
 
 Character values come from one route, Jacobi-Trudi: one determinant over
 the elementary or the complete symmetric functions of a concrete point,
@@ -190,23 +193,6 @@ def alternant(exponents):
     exponent vector, as a Laurent polynomial: the case n = 1 of the
     row-set expansion."""
     return multiply_out(_row_set_expansion(exponents, len(exponents), 1), len(exponents), 1)
-
-
-def twisted_vandermonde_product(m, n):
-    """prod_(a<b) (x_a - x_b) over the m*n twisted coordinates
-    x_(k*m+s) = zeta_n^k * t_s, multiplied out exactly."""
-    total = m * n
-    coords = []
-    for p in range(total):
-        k, s = divmod(p, m)
-        exps = [0] * m
-        exps[s] = 1
-        coords.append(LaurentPoly(m, {tuple(exps): zeta(n, k)}))
-    out = LaurentPoly.one(m)
-    for a in range(total):
-        for b in range(a + 1, total):
-            out = out * (coords[a] - coords[b])
-    return out
 
 
 def denominator_scalar(m, n):

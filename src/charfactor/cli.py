@@ -17,12 +17,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from statistics import mean
 
-from .perms import (DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge,
-                    check_enumeration_bound)
+from .perms import DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge
 from .characters import (schur_at_point, coxeter_value, multiply_out,
                          twisted_numerator, twisted_numerator_terms,
-                         twisted_vandermonde_closed, twisted_vandermonde_product)
-from .weights import shifted_weight
+                         twisted_vandermonde_closed)
+from .weights import shifted_weight, staircase
 from .factorize import (DEFAULT_SEED, coset_audit, factored_value, factorize,
                         sample_points, vanishes_numerically, verify_numeric,
                         verify_terms)
@@ -122,10 +121,11 @@ def cmd_verify(args):
 
 
 def cmd_denom_check(args):
-    # the direct product multiplies out the mn(mn-1)/2 factors one by
-    # one; its cost follows the terms so far (2,961 at the end at (5, 2))
-    check_enumeration_bound(args.m * args.n, _resolve_bound(args))
-    direct = twisted_vandermonde_product(args.m, args.n)
+    # the direct side is the twisted numerator of the staircase, which is
+    # the Vandermonde prod_(a<b) (x_a - x_b); the numerator checks the
+    # bound before its expansion, so it costs what any numerator costs
+    direct = twisted_numerator(staircase(args.m * args.n), args.m, args.n,
+                               bound=_resolve_bound(args))
     closed = twisted_vandermonde_closed(args.m, args.n)
     match = direct == closed
     if args.emit == "poly":
@@ -327,9 +327,12 @@ def main(argv=None):
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
-        # the report is written after the work, so check its directory first
-        if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
-            raise ValueError(f"--output directory does not exist: {args.output}")
+        # the report is written after the work, so check its path first
+        if args.output:
+            if not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+                raise ValueError(f"--output directory does not exist: {args.output}")
+            if os.path.isdir(args.output):
+                raise ValueError(f"--output is a directory: {args.output}")
         args.emit = args.emit or args.emits[0]
         if args.emit not in args.emits:
             accepted = " or ".join(args.emits) if args.emits[1:] else f"{args.emits[0]} only"

@@ -147,13 +147,6 @@ class LaurentPoly:
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
-    def power_substitute(self, k):
-        """Substitute t_s -> t_s^k for every variable."""
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("substitution power must be a positive integer")
-        return LaurentPoly._raw(self.nvars,
-                                {tuple(x * k for x in e): c for e, c in self.terms.items()})
-
     def scalar_ratio(self, other):
         """The value c with self == other.scale(c), or None if no single
         scalar matches every term."""

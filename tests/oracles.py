@@ -1,11 +1,12 @@
 """Second routes kept only to check the package against: the tableau Schur
 polynomial, the alternant-ratio character value, the unfactored row-set
-expansion, the symbolic identity with its right-hand side rebuilt through
-`alternant` and compared multiplied out, evaluation of a Laurent
-polynomial at a point, all of S_N, the column-row products by explicit
-multiplication, the permutation that normalizes the residue blocks, and
-Littlewood's n-sign by ribbon removal.  None of them runs on a product
-path.
+expansion, the twisted Vandermonde multiplied out factor by factor, the
+symbolic identity with its right-hand side rebuilt through `alternant`
+and compared multiplied out, the substitution t_s -> t_s^k, evaluation
+of a Laurent polynomial at a point, all of S_N, the column-row products
+by explicit multiplication, the permutation that normalizes the residue
+blocks, and Littlewood's n-sign by ribbon removal.  None of them runs on
+a product path.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from operator import add
 from charfactor.characters import (alternant, block_key, denominator_scalar,
                                    det_fraction_free)
 from charfactor.cyclotomic import (Cyclotomic, _sparse_power_rows, as_cyclotomic,
-                                   field_degree)
+                                   field_degree, zeta)
 from charfactor.laurent import LaurentPoly
 from charfactor.perms import (DEFAULT_ENUMERATION_BOUND, Perm,
                               check_enumeration_bound, column_subgroup,
@@ -165,13 +166,39 @@ def numerator_by_row_sets(mu, m, n, rows=None):
     return LaurentPoly._raw(m, terms)
 
 
+def twisted_vandermonde_product(m, n):
+    """prod_(a<b) (x_a - x_b) over the m*n twisted coordinates
+    x_(k*m+s) = zeta_n^k * t_s, multiplied out exactly."""
+    total = m * n
+    coords = []
+    for p in range(total):
+        k, s = divmod(p, m)
+        exps = [0] * m
+        exps[s] = 1
+        coords.append(LaurentPoly(m, {tuple(exps): zeta(n, k)}))
+    out = LaurentPoly.one(m)
+    for a in range(total):
+        for b in range(a + 1, total):
+            out = out * (coords[a] - coords[b])
+    return out
+
+
+def power_substitute(poly, k):
+    """Substitute t_s -> t_s^k for every variable of the Laurent
+    polynomial `poly`."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError("substitution power must be a positive integer")
+    return LaurentPoly._raw(poly.nvars,
+                            {tuple(x * k for x in e): c for e, c in poly.terms.items()})
+
+
 def verify_numerator(cert, lhs):
     """`verify_symbolic` given lhs, the twisted numerator of cert.mu."""
     m, n = cert.m, cert.n
     rho = staircase(m)
     rhs = LaurentPoly.monomial((n * (n - 1) // 2,) * m, 1)
     for eta in cert.etas:
-        rhs = rhs * alternant(tuple(e + r for e, r in zip(eta, rho))).power_substitute(n)
+        rhs = rhs * power_substitute(alternant(tuple(e + r for e, r in zip(eta, rho))), n)
     scalar = lhs.scalar_ratio(rhs)
     if scalar is None:
         return False, None

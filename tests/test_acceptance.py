@@ -14,14 +14,13 @@ import pytest
 from charfactor.perms import BlockStructure, is_column_row_product
 from charfactor.characters import (coxeter_value, schur_at_point,
                                    twisted_numerator,
-                                   twisted_vandermonde_closed,
-                                   twisted_vandermonde_product)
+                                   twisted_vandermonde_closed)
 from charfactor.weights import (dominant_weights, is_residue_balanced,
                                 shifted_weight)
 from charfactor.factorize import factorize, verify_numeric, verify_symbolic
 from charfactor.cli import main, run_benchmark
 from oracles import (column_row_products, evaluate, schur_polynomial,
-                     symmetric_group)
+                     symmetric_group, twisted_vandermonde_product)
 
 import random
 

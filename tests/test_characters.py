@@ -11,14 +11,14 @@ from charfactor.perms import EnumerationTooLarge, Perm, permutation_parity, row_
 from charfactor.characters import (alternant, coset_block_sum, coxeter_value,
                                    det_fraction_free, schur_at_point,
                                    twisted_numerator,
-                                   twisted_vandermonde_closed,
-                                   twisted_vandermonde_product)
+                                   twisted_vandermonde_closed)
 from charfactor.factorize import random_regular_point, twisted_point
 from charfactor.weights import (check_dominant, dominant_weights, normalize_residue_blocks,
                                 staircase)
 from oracles import (alternant_at_point, evaluate, numerator_by_row_sets,
-                     residue_permutation, schur_polynomial, schur_ratio_at_point,
-                     symmetric_group)
+                     power_substitute, residue_permutation, schur_polynomial,
+                     schur_ratio_at_point, symmetric_group,
+                     twisted_vandermonde_product)
 
 
 def weyl_dimension(lam):
@@ -219,7 +219,7 @@ class TestAlternant:
         assert alternant((1, 0)) == LaurentPoly(2, {(1, 0): 1, (0, 1): -1})
 
     def test_power_substitution(self):
-        assert alternant((2, 0)).power_substitute(2) == \
+        assert power_substitute(alternant((2, 0)), 2) == \
             LaurentPoly(2, {(4, 0): 1, (0, 4): -1})
 
     def test_staircase_is_vandermonde(self):

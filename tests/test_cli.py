@@ -11,11 +11,13 @@ import time
 import pytest
 
 import charfactor
-from charfactor import cli
+from charfactor import characters, cli
 from charfactor.cli import main, run_benchmark
-from charfactor.characters import twisted_numerator, twisted_numerator_terms
+from charfactor.characters import (twisted_numerator, twisted_numerator_terms,
+                                   twisted_vandermonde_closed)
 from charfactor.factorize import (CosetAuditReport, FactorizationCertificate,
                                   coset_audit, factorize, verify_numeric)
+from oracles import twisted_vandermonde_product
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +103,24 @@ class TestFactorCommand:
         assert captured.err == f"error: --output directory does not exist: {target}\n"
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("denom-check", "--m", "2", "--n", "2"),
+        ("factor", "--m", "2", "--n", "2", "--lambda", "0,0,0,0"),
+    ])
+    def test_directory_output_rejected_before_work(self, capsys, monkeypatch, tmp_path,
+                                                   argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before --output was checked")
+
+        monkeypatch.setattr(cli, "factorize", refuse)
+        monkeypatch.setattr(characters, "_row_set_expansion", refuse)
+        monkeypatch.setattr(cli, "twisted_vandermonde_closed", refuse)
+        code = main([*argv, "--output", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --output is a directory: {tmp_path}\n"
+
 
 class TestEmitValidation:
     @pytest.mark.parametrize("argv,work", [
@@ -159,7 +179,8 @@ class TestCountValidation:
 
         monkeypatch.setattr(cli, "factorize", refuse)
         monkeypatch.setattr(cli, "coset_audit", refuse)
-        monkeypatch.setattr(cli, "twisted_vandermonde_product", refuse)
+        monkeypatch.setattr(characters, "_row_set_expansion", refuse)
+        monkeypatch.setattr(cli, "twisted_vandermonde_closed", refuse)
         code = main(list(argv))
         captured = capsys.readouterr()
         assert code == 1
@@ -287,9 +308,10 @@ class TestDenomCheckCommand:
     ])
     def test_bound_exit_code_before_any_work(self, capsys, monkeypatch, argv, env):
         def refuse(*args, **kwargs):
-            raise AssertionError("the direct product started above the bound")
+            raise AssertionError("the Vandermonde work started above the bound")
 
-        monkeypatch.setattr(cli, "twisted_vandermonde_product", refuse)
+        monkeypatch.setattr(characters, "_row_set_expansion", refuse)
+        monkeypatch.setattr(cli, "twisted_vandermonde_closed", refuse)
         if env is not None:
             monkeypatch.setenv("CHARFACTOR_BOUND", env)
         else:
@@ -297,6 +319,29 @@ class TestDenomCheckCommand:
         code, out = run_cli(capsys, "denom-check", *argv)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (3, 1), (2, 3), (3, 3), (4, 2)])
+    def test_stdout_matches_product_oracle(self, capsys, m, n):
+        direct = twisted_vandermonde_product(m, n)
+        closed = twisted_vandermonde_closed(m, n)
+        shape = ("--m", str(m), "--n", str(n))
+        code, out = run_cli(capsys, "denom-check", *shape, "--emit", "poly")
+        assert code == 0
+        assert out == f"direct: {direct}\nclosed: {closed}\nmatch: True\n"
+        code, out = run_cli(capsys, "denom-check", *shape, "--emit", "json")
+        assert code == 0
+        assert out == json.dumps({"m": m, "n": n, "match": direct == closed}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("m,n,bound", [(5, 2, 10), (4, 3, 12)])
+    def test_past_nine_within_a_second(self, capsys, m, n, bound):
+        # the multiplied-out product alone takes 1.5 s at (5, 2), 2.5 s at (4, 3)
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "denom-check", "--m", str(m), "--n", str(n),
+                            "--bound", str(bound))
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(out)["match"] is True
+        assert elapsed < 1, f"denom-check ({m}, {n}) took {elapsed:.2f}s"
 
 
 class TestCosetAuditCommand:

@@ -24,7 +24,8 @@ from charfactor.factorize import (FactorizationCertificate, coset_audit,
                                   vanishes_numerically, verify_numeric,
                                   verify_symbolic)
 from charfactor.cli import run_benchmark
-from oracles import littlewood_sign, symmetric_group, verify_numerator
+from oracles import (littlewood_sign, power_substitute, symmetric_group,
+                     verify_numerator)
 
 # the weights of TestSignViaCoxeter.test_closed_form_matches_determinant_oracle
 SIGN_GRID = (((2, 2), -2, 3), ((2, 3), -1, 2), ((3, 2), -1, 2),
@@ -384,8 +385,8 @@ class TestCosetBlockSum:
         product = LaurentPoly.monomial((1, 1))
         for k in range(2):
             block = sorted(mu[2 * k: 2 * k + 2], reverse=True)
-            product = product * alternant(
-                tuple((x - k) // 2 for x in block)).power_substitute(2)
+            product = product * power_substitute(alternant(
+                tuple((x - k) // 2 for x in block)), 2)
         scalar = total.scalar_ratio(product)
         assert scalar is not None and scalar != 0
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from charfactor.cyclotomic import zeta
 from charfactor.laurent import LaurentPoly, block_specialize
-from oracles import evaluate
+from oracles import evaluate, power_substitute
 
 
 def t(i, nvars=2):
@@ -78,20 +78,20 @@ class TestEvaluate:
 
 class TestPowerSubstitute:
     def test_squares(self):
-        assert (t(0) + t(1)).power_substitute(2) == \
+        assert power_substitute(t(0) + t(1), 2) == \
             LaurentPoly(2, {(2, 0): 1, (0, 2): 1})
 
     def test_constant_fixed(self):
         one = LaurentPoly.one(3)
-        assert one.power_substitute(5) == one
+        assert power_substitute(one, 5) == one
 
     def test_negative_exponents(self):
         p = LaurentPoly.monomial((1, -1))
-        assert p.power_substitute(3) == LaurentPoly.monomial((3, -3))
+        assert power_substitute(p, 3) == LaurentPoly.monomial((3, -3))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            t(0).power_substitute(0)
+            power_substitute(t(0), 0)
 
 
 class TestBlockSpecialize:
