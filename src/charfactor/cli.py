@@ -17,7 +17,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from statistics import mean
 
-from .perms import DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge
+from .perms import (DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge,
+                    check_enumeration_bound)
 from .characters import (schur_at_point, coxeter_value, multiply_out,
                          twisted_numerator, twisted_numerator_terms,
                          twisted_vandermonde_closed)
@@ -122,10 +123,11 @@ def cmd_verify(args):
 
 def cmd_denom_check(args):
     # the direct side is the twisted numerator of the staircase, which is
-    # the Vandermonde prod_(a<b) (x_a - x_b); the numerator checks the
-    # bound before its expansion, so it costs what any numerator costs
-    direct = twisted_numerator(staircase(args.m * args.n), args.m, args.n,
-                               bound=_resolve_bound(args))
+    # the Vandermonde prod_(a<b) (x_a - x_b), so it costs what any numerator
+    # costs; the bound is checked before the staircase of m*n entries is built
+    bound = _resolve_bound(args)
+    check_enumeration_bound(args.m * args.n, bound)
+    direct = twisted_numerator(staircase(args.m * args.n), args.m, args.n, bound=bound)
     closed = twisted_vandermonde_closed(args.m, args.n)
     match = direct == closed
     if args.emit == "poly":
