@@ -5,25 +5,22 @@ primitive n-th root of unity: coordinate k*m+s carries zeta_n^k * t_s.
 Everything here is exact over Q(zeta_N).
 
 The alternating sums (`twisted_numerator`, `coset_block_sum`, `alternant`)
-share one route, the row-set expansion: generalized Laplace expansion along
-the n blocks of the exponent vector in order, each block picking m of the
-rows still free.  Rows (k, s) and (k', s) are proportional on a block's
-values exactly when (k' - k)(v - v0) = 0 mod n for every value v, so no
-pick holding such a pair is built; with the rows fixed, one such block
-makes the sum zero before any minor is built.  Each minor that is built is
-+-zeta_n^c times a canonical minor, and a state (the rows still free)
-carries one integer count per power of zeta_n for each tuple of canonical
-minors picked so far; the tuples whose counts survive in Q(zeta_n) are the
-terms.  `factorize.verify_terms` decides the symbolic identity on them,
-and `multiply_out` turns them into each sum's Laurent polynomial, once.
-With the rows free, mu is first sorted by residue class mod n, the fullest
-class first (the sum is antisymmetric in mu), so that a block's values
-mostly share a residue and few picks survive.  The twisted Vandermonde
-is the numerator of the staircase, det(x_p^(rho_j)) = prod_(a<b) (x_a -
-x_b), so it takes the same route.  The unfactored expansion, the
-brute-force (mn)! and row-subgroup sums, the identity compared multiplied
-out through `alternant`, and the Vandermonde multiplied out factor by
-factor are test oracles.
+are products of block minors det(x_p^v), each built once by one S_m
+enumeration as +-zeta_n^c times a canonical minor.  Sorted by residue
+class mod n, the twisted matrix factors as (F_n x I_m) diag(B_0, ...,
+B_(n-1)), F_n = (zeta_n^(kr)) and B_r = (t_s^v) over the values v of
+class r, so the numerator is det(F_n)^m times the n minors det(B_r) when
+every class holds m distinct values and zero otherwise.  With the rows
+fixed to a coset, the sum is the sign of the representative times the n
+minors on its rows; a block on a pair of proportional rows makes it zero
+before any minor is built.  `factorize.verify_terms` decides the symbolic
+identity on the tuple of minors, and `multiply_out` turns it into a
+Laurent polynomial, once.  The twisted Vandermonde is the numerator of
+the staircase, det(x_p^(rho_j)) = prod_(a<b) (x_a - x_b), so it takes
+the same route.  The row-set expansion, unfactored and factored, the
+brute-force (mn)! and row-subgroup sums, the identity compared
+multiplied out through `alternant`, and the Vandermonde multiplied out
+factor by factor are test oracles.
 
 Character values come from one route, Jacobi-Trudi: one determinant over
 the elementary or the complete symmetric functions of a concrete point,
@@ -38,13 +35,13 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, gt
+from operator import add
 
 from .cyclotomic import Cyclotomic, _power_map, as_cyclotomic, zeta
 from .laurent import LaurentPoly
 from .perms import (DEFAULT_ENUMERATION_BOUND, check_enumeration_bound,
                     permutation_parity)
-from .weights import check_dominant
+from .weights import check_dominant, is_residue_balanced
 
 
 def block_key(places, values, m, n):
@@ -65,10 +62,10 @@ def _parities(m):
     return tuple(map(permutation_parity, itertools.permutations(range(m))))
 
 
-def _block_minor(values, places, m, n, forms):
+def _block_minor(values, places, m, n):
     # det(x_p^v), p at the places (k, s) in order and v in values, by
     # `block_key` counts, as (form, c, sign): sign * zeta_n^c times the
-    # canonical form, kept once in forms; None when the counts cancel
+    # canonical form; None when the counts cancel
     counts = {}
     for arranged, parity in zip(itertools.permutations(values), _parities(m)):
         key = block_key(places, arranged, m, n)
@@ -79,65 +76,27 @@ def _block_minor(values, places, m, n, forms):
     c, sign = first[m], 1 if counts[first] > 0 else -1
     form = frozenset([(key[:m], (key[m] - c) % n, sign * cnt)
                       for key, cnt in counts.items() if cnt])
-    return forms.setdefault(form, form), c, sign
+    return form, c, sign
 
 
-def _row_set_expansion(mu, m, n, rows=None):
-    # {tuple of canonical minors, one per block: its scalar in Q(zeta_n)};
-    # a state is the tuple of rows still free, its value a count per (tuple
-    # of the canonical minors picked so far, power of zeta_n); block k picks
-    # m free rows in distinct classes (any, or the set rows[k:k+m])
-    if len(mu) != m * n:
-        raise ValueError("mu length must be m*n")
-    if rows is None and len(set(mu)) < len(mu):
-        return {}  # two equal columns
-    # rows (k, s) and (k', s) are proportional exactly when step | k' - k
-    blocks = [(k, mu[k:k + m], n // gcd(n, *(v - mu[k] for v in mu[k:k + m])))
-              for k in range(0, m * n, m)]
-
-    def classes(free, step):
-        out = {}
-        for p in free:
-            out.setdefault(((p - 1) // m % step, (p - 1) % m), []).append(p)
-        return sorted(out.items())
-
-    if rows and any(len(classes(rows[k:k + m], step)) < m for k, _, step in blocks):
-        return {}
-    jumps, forms = m * (m - 1) // 2, {}
-    states = {tuple(range(1, m * n + 1)): {((), 0): 1}}
-    for k, values, step in blocks:
-        minors, following = {}, {}
-        lift = [values[0] * step * ((p - 1) // (m * step)) for p in range(m * n + 1)]
-        for free, partial in states.items():
-            for group in itertools.combinations(classes(rows[k:k + m] if rows else free, step), m):
-                combo, picks = zip(*group)
-                if combo not in minors:
-                    minors[combo] = _block_minor(values, combo, m, n, forms)
-                if not minors[combo]:
-                    continue
-                form, c, minor_sign = minors[combo]
-                # row (k, s) is zeta_n^(v0 (k - k % step)) times its class's
-                # row; chosen is in class order, so its inversions count too
-                for chosen in itertools.product(*picks):
-                    shift = c + sum(map(lift.__getitem__, chosen))
-                    odd = (sum(map(free.index, chosen)) - jumps + (minor_sign < 0)
-                           + sum(itertools.starmap(gt, itertools.combinations(chosen, 2)))) & 1
-                    target = following.setdefault(tuple(p for p in free if p not in chosen), {})
-                    for (idt, z), x in partial.items():
-                        key = idt + (form,), (z + shift) % n
-                        target[key] = target.get(key, 0) + (-x if odd else x)
-        states = following
-    # reduce the counts of each tuple of minors to Q(zeta_n); keep the nonzero
-    scalars = {}
-    for (idt, z), x in states.get((), {}).items():
-        scalars.setdefault(idt, [0] * n)[z] += x
-    terms = {idt: Cyclotomic(n, _power_map(counts, n, 1), _den=1) for idt, counts in scalars.items()}
-    return {idt: scalar for idt, scalar in terms.items() if scalar}
+def _minor_tuple(blocks, m, n):
+    # the minors of the (values, places) blocks as (tuple of canonical
+    # forms, sum of their powers of zeta_n, product of their signs); None
+    # when one of them vanishes
+    forms, c, sign = [], 0, 1
+    for values, places in blocks:
+        minor = _block_minor(values, places, m, n)
+        if minor is None:
+            return None
+        forms.append(minor[0])
+        c += minor[1]
+        sign *= minor[2]
+    return tuple(forms), c, sign
 
 
 def multiply_out(terms, m, n):
-    """The Laurent polynomial of row-set terms (scalars in Z[zeta_n]): each
-    tuple of canonical minors multiplied out once, by prefix, summed once."""
+    """The Laurent polynomial of terms {tuple of canonical minors: scalar
+    in Z[zeta_n]}: each tuple multiplied out once, by prefix, summed once."""
     if not terms:
         return LaurentPoly.zero(m)  # most cosets of a coset audit
     total, products = {}, {(): {(0,) * (m + 1): 1}}
@@ -163,22 +122,50 @@ def multiply_out(terms, m, n):
 
 def coset_block_sum(mu, m, n, rep):
     """Signed sum of the block-specialized monomials of mu over the left
-    coset of the row subgroup represented by rep: the row-set expansion
-    with block k of mu fixed to the rows rep(block k); it holds for any mu."""
-    return multiply_out(_row_set_expansion(mu, m, n, rep.images), m, n)
+    coset of the row subgroup represented by rep: sgn(rep) times the n
+    minors of block k of mu on the rows rep(block k), multiplied out; it
+    holds for any mu.  A block on a pair of proportional rows makes the
+    sum zero before any minor is built."""
+    if len(mu) != m * n:
+        raise ValueError("mu length must be m*n")
+    blocks = [(mu[k:k + m], [divmod(p - 1, m) for p in rep.images[k:k + m]])
+              for k in range(0, m * n, m)]
+    for values, places in blocks:
+        # rows (k, s) and (k', s) are proportional on the values exactly
+        # when (k' - k)(v - v0) = 0 mod n for every v, so when step | k' - k
+        step = n // gcd(n, *(v - values[0] for v in values))
+        if len({(k % step, s) for k, s in places}) < m:
+            return LaurentPoly.zero(m)
+    minors = _minor_tuple(blocks, m, n)
+    if minors is None:
+        return LaurentPoly.zero(m)
+    forms, c, sign = minors
+    scalar = zeta(n, c)
+    return multiply_out({forms: scalar if sign * rep.sign > 0 else -scalar}, m, n)
 
 
 def twisted_numerator_terms(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
     """The twisted alternant det(x_p^(mu_j)), x_(k*m+s) = zeta_n^k * t_s, as
     {tuple of n canonical minors (frozensets of (t-exponents, power of
-    zeta_n, count)): nonzero scalar in Q(zeta_n)}: the row-set expansion
-    with every block free to pick any m rows, on mu sorted by residue
-    class, fullest first, the parity of the sort folded into the scalars."""
+    zeta_n, count)): nonzero scalar in Q(zeta_n)}.  Sorted by residue
+    class mod n, with the parity of the sort, the matrix is (F_n x I_m)
+    diag(B_0, ..., B_(n-1)), F_n = (zeta_n^(kr)) and B_r = (t_s^v) over
+    the values v of class r.  So a mu with a repeated entry or classes of
+    unequal size gives {}, and any other one tuple: the minors det(B_r),
+    with det(F_n)^m = (-1)^(C(n,2) C(m+1,2)) `denominator_scalar(m, n)`."""
     check_enumeration_bound(m * n, bound)
-    residues = [v % n for v in mu]
-    order = sorted(range(len(mu)), key=lambda j: (-residues.count(residues[j]), residues[j]))
-    terms = _row_set_expansion([mu[j] for j in order], m, n)
-    return terms if permutation_parity(order) > 0 else {t: -c for t, c in terms.items()}
+    if len(mu) != m * n:
+        raise ValueError("mu length must be m*n")
+    if len(set(mu)) < len(mu) or not is_residue_balanced(mu, m, n):
+        return {}
+    order = sorted(range(m * n), key=lambda j: mu[j] % n)
+    tops = [(0, s) for s in range(m)]
+    forms, _, sign = _minor_tuple([([mu[j] for j in order[k:k + m]], tops)
+                                   for k in range(0, m * n, m)], m, n)
+    if (n * (n - 1) // 2) * (m * (m + 1) // 2) % 2:
+        sign = -sign
+    scalar = denominator_scalar(m, n)
+    return {forms: scalar if sign * permutation_parity(order) > 0 else -scalar}
 
 
 def twisted_numerator(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
@@ -191,10 +178,12 @@ def twisted_numerator(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
 def alternant(exponents):
     """det(t_s^(e_j)), the alternating sum over all arrangements of the
     exponent vector, as a Laurent polynomial: the case n = 1 of the
-    row-set expansion."""
-    return multiply_out(_row_set_expansion(exponents, len(exponents), 1), len(exponents), 1)
+    twisted numerator, a single minor, at any length."""
+    m = len(exponents)
+    return multiply_out(twisted_numerator_terms(exponents, m, 1, bound=m), m, 1)
 
 
+@lru_cache(maxsize=None)
 def denominator_scalar(m, n):
     """The constant in the factored twisted Vandermonde:
     (-1)^(C(m,2)*C(n,2)) * prod_(i<j) (zeta_n^i - zeta_n^j)^m."""

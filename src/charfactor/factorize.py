@@ -5,7 +5,7 @@ staircase, tests the residue-balance condition, normalizes into residue
 blocks, reads off one rank-m weight per block, and pins the overall sign.
 The resulting certificate is exact and independently checkable two ways:
 numerically (exact equality at random rational points) and symbolically
-(`verify_terms`, on the row-set terms of the numerator; the identity
+(`verify_terms`, on the block minors of the numerator; the identity
 multiplied out through `alternant` is its test oracle).
 """
 
@@ -22,7 +22,7 @@ from .cyclotomic import Cyclotomic, zeta
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure, Perm,
                     check_enumeration_bound, is_column_row_product,
                     row_coset_reps, column_subgroup)
-from .characters import (_block_minor, coset_block_sum, coxeter_value,
+from .characters import (_minor_tuple, coset_block_sum, coxeter_value,
                          denominator_scalar, multiply_out, schur_at_point,
                          twisted_numerator_terms)
 from .weights import (check_dominant, factor_weights, is_residue_balanced,
@@ -178,7 +178,7 @@ def verify_symbolic(cert, bound=DEFAULT_ENUMERATION_BOUND):
     blocks k of det(t_s^(k + n(eta_k + rho)_j)), which is (t_1..t_m)^(n(n-1)/2)
     times the block alternants in t^n; and that scalar, with the
     rearrangement sign and the denominator constant, must reproduce
-    epsilon.  Returns (ok, scalar) from `verify_terms` on the row-set terms
+    epsilon.  Returns (ok, scalar) from `verify_terms` on the block minors
     of the numerator; scalar is None when no single scalar matches."""
     if not cert.balanced:
         raise ValueError("certificate is a vanishing certificate; nothing to factor")
@@ -194,15 +194,12 @@ def verify_terms(cert, terms):
     m, n = cert.m, cert.n
     if len(cert.etas) != n or any(len(eta) != m for eta in cert.etas):
         return False, None
-    forms, sign = [], 1
-    for k, eta in enumerate(cert.etas):
-        values = [k + n * (e + r) for e, r in zip(eta, staircase(m))]
-        minor = _block_minor(values, [(0, s) for s in range(m)], m, n, {})
-        if minor is None:
-            return False, None
-        forms.append(minor[0])
-        sign *= minor[2]
-    rhs = tuple(forms)
+    tops = [(0, s) for s in range(m)]
+    minors = _minor_tuple([([k + n * (e + r) for e, r in zip(eta, staircase(m))], tops)
+                           for k, eta in enumerate(cert.etas)], m, n)
+    if minors is None:
+        return False, None
+    rhs, _, sign = minors
     if terms.keys() == {rhs}:
         scalar = terms[rhs] if sign > 0 else -terms[rhs]
     else:

@@ -1,22 +1,23 @@
 """Second routes kept only to check the package against: the tableau Schur
-polynomial, the alternant-ratio character value, the unfactored row-set
-expansion, the twisted Vandermonde multiplied out factor by factor, the
-symbolic identity with its right-hand side rebuilt through `alternant`
-and compared multiplied out, the substitution t_s -> t_s^k, evaluation
-of a Laurent polynomial at a point, all of S_N, the column-row products
-by explicit multiplication, the permutation that normalizes the residue
-blocks, and Littlewood's n-sign by ribbon removal.  None of them runs on
-a product path.
+polynomial, the alternant-ratio character value, the row-set expansion
+unfactored and factored, the twisted Vandermonde multiplied out factor
+by factor, the symbolic identity with its right-hand side rebuilt
+through `alternant` and compared multiplied out, the substitution
+t_s -> t_s^k, evaluation of a Laurent polynomial at a point, all of S_N,
+the column-row products by explicit multiplication, the permutation that
+normalizes the residue blocks, and Littlewood's n-sign by ribbon
+removal.  None of them runs on a product path.
 """
 
 import itertools
 from functools import lru_cache
-from operator import add
+from math import gcd
+from operator import add, gt
 
-from charfactor.characters import (alternant, block_key, denominator_scalar,
-                                   det_fraction_free)
-from charfactor.cyclotomic import (Cyclotomic, _sparse_power_rows, as_cyclotomic,
-                                   field_degree, zeta)
+from charfactor.characters import (_block_minor, alternant, block_key,
+                                   denominator_scalar, det_fraction_free)
+from charfactor.cyclotomic import (Cyclotomic, _power_map, _sparse_power_rows,
+                                   as_cyclotomic, field_degree, zeta)
 from charfactor.laurent import LaurentPoly
 from charfactor.perms import (DEFAULT_ENUMERATION_BOUND, Perm,
                               check_enumeration_bound, column_subgroup,
@@ -164,6 +165,61 @@ def numerator_by_row_sets(mu, m, n, rows=None):
             vec[i] += cnt * r
     terms = {texp: Cyclotomic(n, vec, _den=1) for texp, vec in vecs.items() if any(vec)}
     return LaurentPoly._raw(m, terms)
+
+
+def terms_by_row_sets(mu, m, n, rows=None):
+    """The twisted alternant of mu by the factored row-set expansion, as
+    {tuple of canonical minors, one per block: its scalar in Q(zeta_n)}.
+    A state is the tuple of rows still free, its value a count per (tuple
+    of the canonical minors picked so far, power of zeta_n); block k picks
+    m free rows in distinct classes (any, or the set rows[k:k+m]), since
+    rows (k, s) and (k', s) are proportional on its values exactly when
+    n / gcd(n, value differences) divides k' - k."""
+    if len(mu) != m * n:
+        raise ValueError("mu length must be m*n")
+    if rows is None and len(set(mu)) < len(mu):
+        return {}  # two equal columns
+    blocks = [(k, mu[k:k + m], n // gcd(n, *(v - mu[k] for v in mu[k:k + m])))
+              for k in range(0, m * n, m)]
+
+    def classes(free, step):
+        out = {}
+        for p in free:
+            out.setdefault(((p - 1) // m % step, (p - 1) % m), []).append(p)
+        return sorted(out.items())
+
+    if rows and any(len(classes(rows[k:k + m], step)) < m for k, _, step in blocks):
+        return {}
+    jumps = m * (m - 1) // 2
+    states = {tuple(range(1, m * n + 1)): {((), 0): 1}}
+    for k, values, step in blocks:
+        minors, following = {}, {}
+        lift = [values[0] * step * ((p - 1) // (m * step)) for p in range(m * n + 1)]
+        for free, partial in states.items():
+            for group in itertools.combinations(classes(rows[k:k + m] if rows else free, step), m):
+                combo, picks = zip(*group)
+                if combo not in minors:
+                    minors[combo] = _block_minor(values, combo, m, n)
+                if not minors[combo]:
+                    continue
+                form, c, minor_sign = minors[combo]
+                # row (k, s) is zeta_n^(v0 (k - k % step)) times its class's
+                # row; chosen is in class order, so its inversions count too
+                for chosen in itertools.product(*picks):
+                    shift = c + sum(map(lift.__getitem__, chosen))
+                    odd = (sum(map(free.index, chosen)) - jumps + (minor_sign < 0)
+                           + sum(itertools.starmap(gt, itertools.combinations(chosen, 2)))) & 1
+                    target = following.setdefault(tuple(p for p in free if p not in chosen), {})
+                    for (idt, z), x in partial.items():
+                        key = idt + (form,), (z + shift) % n
+                        target[key] = target.get(key, 0) + (-x if odd else x)
+        states = following
+    scalars = {}
+    for (idt, z), x in states.get((), {}).items():
+        scalars.setdefault(idt, [0] * n)[z] += x
+    terms = {idt: Cyclotomic(n, _power_map(counts, n, 1), _den=1)
+             for idt, counts in scalars.items()}
+    return {idt: scalar for idt, scalar in terms.items() if scalar}
 
 
 def twisted_vandermonde_product(m, n):

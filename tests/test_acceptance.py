@@ -120,20 +120,20 @@ def test_criterion_3_symbolic_factorization_past_size_nine():
 
 
 def test_criterion_3_symbolic_factorization_past_size_twelve():
-    # the symbolic half of verify at m*n = 12 to 16, decided factor by
+    # the symbolic half of verify at m*n = 12 to 18, decided factor by
     # factor: the zero weight and the first two balanced weights in [0, 3]
-    # that are not constant
+    # that are not constant; (2, 8) and (1, 16) have many blocks of few rows
     start = time.perf_counter()
     ok = True
     checked = 0
-    for m, n in ((4, 4), (3, 5), (5, 3), (6, 2)):
+    for m, n in ((4, 4), (3, 5), (5, 3), (6, 2), (2, 8), (1, 16), (3, 6)):
         balanced = [lam for lam in sorted(dominant_weights(m * n, 0, 3))
                     if lam[0] != lam[-1] and is_residue_balanced(shifted_weight(lam), m, n)]
         for lam in [(0,) * (m * n)] + balanced[:2]:
             checked += 1
             sym_ok, scalar = verify_symbolic(factorize(lam, m, n), bound=m * n)
             ok = ok and sym_ok and scalar is not None
-    assert checked == 12
+    assert checked == 21
     report(f"3 symbolic factorization past m*n = 12 ({checked} weights)",
            ok, time.perf_counter() - start, budget=8)
 

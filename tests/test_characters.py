@@ -4,20 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charfactor.cyclotomic import Cyclotomic, as_cyclotomic, field_degree, zeta
 from charfactor.laurent import LaurentPoly
 from charfactor.perms import EnumerationTooLarge, Perm, permutation_parity, row_coset_reps
 from charfactor.characters import (alternant, coset_block_sum, coxeter_value,
-                                   det_fraction_free, schur_at_point,
-                                   twisted_numerator,
+                                   det_fraction_free, multiply_out, schur_at_point,
+                                   twisted_numerator, twisted_numerator_terms,
                                    twisted_vandermonde_closed)
 from charfactor.factorize import random_regular_point, twisted_point
-from charfactor.weights import (check_dominant, dominant_weights, normalize_residue_blocks,
-                                staircase)
+from charfactor.weights import (check_dominant, dominant_weights, is_residue_balanced,
+                                normalize_residue_blocks, staircase)
 from oracles import (alternant_at_point, evaluate, numerator_by_row_sets,
                      power_substitute, residue_permutation, schur_polynomial,
-                     schur_ratio_at_point, symmetric_group,
+                     schur_ratio_at_point, symmetric_group, terms_by_row_sets,
                      twisted_vandermonde_product)
 
 
@@ -72,6 +73,9 @@ def balanced_shuffle(rng, m, n, low, high):
 
 
 SMALL_SHAPES = [(m, n) for m in range(1, 9) for n in range(1, 9) if m * n <= 8]
+# every m*n <= 9 but (8, 1) and (9, 1), where each S_m oracle sum alone
+# takes seconds
+HYPOTHESIS_SHAPES = [(m, n) for m in range(1, 8) for n in range(1, 10) if m * n <= 9]
 
 
 class TestTwistedNumerator:
@@ -169,6 +173,34 @@ class TestFactoredExpansion:
         rng = random.Random(200 * m + n)
         for mu in off_normal_form(rng, m, n):
             assert twisted_numerator(mu, m, n, bound=10) == numerator_by_row_sets(mu, m, n), mu
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.data())
+    def test_matches_both_row_set_expansions(self, data):
+        # mu balanced (m distinct values per residue class, shuffled) or
+        # drawn freely; the block minors against the row-set expansion,
+        # unfactored and factored, and the factored terms one for one
+        m, n = data.draw(st.sampled_from(HYPOTHESIS_SHAPES))
+        if data.draw(st.booleans()):
+            mu = data.draw(st.permutations(
+                [r + n * j for r in range(n)
+                 for j in data.draw(st.lists(st.integers(-1, m + 1), min_size=m, max_size=m,
+                                             unique=True))]))
+        else:
+            mu = data.draw(st.lists(st.integers(-3, 3 * m * n), min_size=m * n,
+                                    max_size=m * n, unique=data.draw(st.booleans())))
+        mu = tuple(mu)
+        numerator = twisted_numerator(mu, m, n)
+        assert numerator == numerator_by_row_sets(mu, m, n)
+        assert numerator == multiply_out(terms_by_row_sets(mu, m, n), m, n)
+        terms = twisted_numerator_terms(mu, m, n)
+        if len(set(mu)) < len(mu) or not is_residue_balanced(mu, m, n):
+            assert terms == {} and not numerator
+        else:
+            order = sorted(range(m * n), key=lambda j: mu[j] % n)
+            sign = permutation_parity(order)
+            expected = terms_by_row_sets(tuple(mu[j] for j in order), m, n)
+            assert terms == {idt: c if sign > 0 else -c for idt, c in expected.items()}
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (2, 4)])
     def test_every_row_coset_matches_unfactored_expansion(self, m, n):

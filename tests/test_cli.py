@@ -113,7 +113,7 @@ class TestFactorCommand:
             raise AssertionError("work started before --output was checked")
 
         monkeypatch.setattr(cli, "factorize", refuse)
-        monkeypatch.setattr(characters, "_row_set_expansion", refuse)
+        monkeypatch.setattr(characters, "_block_minor", refuse)
         monkeypatch.setattr(cli, "twisted_vandermonde_closed", refuse)
         code = main([*argv, "--output", str(tmp_path)])
         captured = capsys.readouterr()
@@ -179,7 +179,7 @@ class TestCountValidation:
 
         monkeypatch.setattr(cli, "factorize", refuse)
         monkeypatch.setattr(cli, "coset_audit", refuse)
-        monkeypatch.setattr(characters, "_row_set_expansion", refuse)
+        monkeypatch.setattr(characters, "_block_minor", refuse)
         monkeypatch.setattr(cli, "twisted_vandermonde_closed", refuse)
         code = main(list(argv))
         captured = capsys.readouterr()
@@ -320,7 +320,7 @@ class TestDenomCheckCommand:
             raise AssertionError("the Vandermonde work started above the bound")
 
         monkeypatch.setattr(cli, "staircase", refuse)
-        monkeypatch.setattr(characters, "_row_set_expansion", refuse)
+        monkeypatch.setattr(characters, "_block_minor", refuse)
         monkeypatch.setattr(cli, "twisted_vandermonde_closed", refuse)
         if env is not None:
             monkeypatch.setenv("CHARFACTOR_BOUND", env)
@@ -330,9 +330,11 @@ class TestDenomCheckCommand:
         assert code == 2
         assert out == ""
 
-    @pytest.mark.parametrize("m,n,bound", [(5, 2, 10), (4, 3, 12)])
+    @pytest.mark.parametrize("m,n,bound", [(5, 2, 10), (4, 3, 12), (1, 16, 16)])
     def test_past_nine_within_a_second(self, capsys, m, n, bound):
-        # the multiplied-out product alone takes 1.5 s at (5, 2), 2.5 s at (4, 3)
+        # the multiplied-out product alone takes 1.5 s at (5, 2), 2.5 s at
+        # (4, 3); a row-set expansion over the subsets of free rows, 12 s at
+        # (1, 16)
         start = time.perf_counter()
         code, out = run_cli(capsys, "denom-check", "--m", str(m), "--n", str(n),
                             "--bound", str(bound))
