@@ -98,7 +98,7 @@ def multiply_out(terms, m, n):
     """The Laurent polynomial of terms {tuple of canonical minors: scalar
     in Z[zeta_n]}: each tuple multiplied out once, by prefix, summed once."""
     if not terms:
-        return LaurentPoly.zero(m)  # most cosets of a coset audit
+        return LaurentPoly.zero(m)  # an unbalanced mu
     total, products = {}, {(): {(0,) * (m + 1): 1}}
 
     def product(idt):
@@ -160,6 +160,7 @@ def twisted_numerator_terms(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
         return {}
     order = sorted(range(m * n), key=lambda j: mu[j] % n)
     tops = [(0, s) for s in range(m)]
+    # the values are distinct, so no minor vanishes
     forms, _, sign = _minor_tuple([([mu[j] for j in order[k:k + m]], tops)
                                    for k in range(0, m * n, m)], m, n)
     if (n * (n - 1) // 2) * (m * (m + 1) // 2) % 2:
@@ -171,7 +172,7 @@ def twisted_numerator_terms(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
 def twisted_numerator(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
     """`twisted_numerator_terms` multiplied out: an exact Laurent polynomial
     in t_1..t_m over Q(zeta_n), antisymmetric in mu, and zero exactly when
-    the residue classes of mu mod n differ in size."""
+    mu has a repeated entry or residue classes mod n of unequal size."""
     return multiply_out(twisted_numerator_terms(mu, m, n, bound), m, n)
 
 

@@ -153,8 +153,8 @@ def off_normal_form(rng, m, n):
 
 
 class TestFactoredExpansion:
-    # the factored row-set expansion against the unfactored one, past the
-    # m*n <= 8 of numerator_by_symmetric_group
+    # the block minors against the row-set expansions, past the m*n <= 8
+    # of numerator_by_symmetric_group
     @pytest.mark.parametrize("m,n", [(3, 3), (5, 2), (2, 5), (3, 4), (4, 3), (2, 6), (1, 10)])
     def test_matches_unfactored_expansion_past_size_eight(self, m, n):
         # the unfactored expansion of a shuffle takes minutes at m*n = 12,
