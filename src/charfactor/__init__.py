@@ -19,7 +19,7 @@ from .factorize import (DEFAULT_SEED, CosetAuditReport,
                         FactorizationCertificate, coset_audit,
                         coset_block_sum, factored_value, factorize,
                         random_regular_point, sample_points,
-                        sign_via_coxeter, twisted_point,
-                        vanishes_numerically, verify_numeric, verify_symbolic)
+                        sign_via_coxeter, vanishes_numerically,
+                        verify_numeric, verify_symbolic)
 
 __version__ = "0.1.0"

@@ -24,18 +24,21 @@ factor by factor are test oracles.
 
 Character values come from one route, Jacobi-Trudi: one determinant over
 the elementary or the complete symmetric functions of a concrete point,
-on the shorter side of the diagram, so of size at most N - 1.  It is a
+on the shorter side of the diagram, so of size at most N - 1.  As
+prod_(k<n) (1 + zeta_n^k x z) = 1 - (-x z)^n, those of t.c_n are e_(nj) =
+(-1)^((n+1)j) e_j and h_(nj) = h_j of the t_s^n, and zero in degrees not
+divisible by n, so a rational t keeps the determinant over Q.  It is a
 polynomial identity, so the point need not be regular.  The tableau Schur
-polynomial and the alternant ratio that cross-check it live with the test
-oracles.
+polynomial, the alternant ratio and the literal point t.c_n that
+cross-check it live with the test oracles.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
-from math import gcd, lcm
-from operator import add
+from functools import lru_cache, reduce
+from math import comb, gcd, lcm
+from operator import add, mul
 
 from .cyclotomic import Cyclotomic, _power_map, as_cyclotomic, zeta
 from .laurent import LaurentPoly
@@ -200,18 +203,25 @@ def denominator_scalar(m, n):
 
 def twisted_vandermonde_closed(m, n):
     """Factored form of the twisted Vandermonde: the scalar above times
-    prod_(i<j) (t_i^n - t_j^n)^n times (t_1 ... t_m)^(n(n-1)/2)."""
-    poly = LaurentPoly.monomial((n * (n - 1) // 2,) * m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            ei = [0] * m
-            ej = [0] * m
-            ei[i] = n
-            ej[j] = n
-            diff = LaurentPoly(m, {tuple(ei): 1, tuple(ej): -1})
-            poly = poly * diff ** n
-    # the rational product first, so each term meets Q(zeta_n) once
-    return poly.scale(denominator_scalar(m, n))
+    prod_(i<j) (t_i^n - t_j^n)^n, multiplied out over Z in u_s = t_s^n,
+    times (t_1 ... t_m)^(n(n-1)/2); each coefficient meets Q(zeta_n) once."""
+    poly = {(0,) * m: 1}
+    binomial = [(-1) ** k * comb(n, k) for k in range(n + 1)]
+    for i, j in itertools.combinations(range(m), 2):
+        out = {}
+        for exps, c in poly.items():
+            # times (u_i - u_j)^n, term by term from u_i^n down to u_j^n
+            key = list(exps)
+            key[i] += n
+            for b in binomial:
+                at = tuple(key)
+                out[at] = out.get(at, 0) + b * c
+                key[i] -= 1
+                key[j] += 1
+        poly = {key: c for key, c in out.items() if c}
+    scalar, shift = denominator_scalar(m, n), n * (n - 1) // 2
+    return LaurentPoly._raw(m, {tuple(n * u + shift for u in exps): scalar * c
+                                for exps, c in poly.items()})
 
 
 def det_fraction_free(matrix):
@@ -253,18 +263,20 @@ def det_fraction_free(matrix):
     return -det if sign < 0 else det
 
 
-def schur_at_point(lam, point):
-    """Character value at any point, by Jacobi-Trudi on the shorter side
-    of the diagram of kappa, the positive parts of lam - lam_N:
-    det(e_(kappa'_i - i + j)) of size kappa_1 when kappa_1 <= len(kappa),
-    else det(h_(kappa_i - i + j)) of size len(kappa), times
-    (x_1 ... x_N)^lam_N.  The determinant is never larger than N - 1; a
-    zero coordinate is a pole only when lam_N < 0."""
+def schur_at_point(lam, point, n=1):
+    """Character value at point.c_n, the coordinates zeta_n^k * x over x
+    in point and k < n, by Jacobi-Trudi on the shorter side of the diagram
+    of kappa, the positive parts of lam - lam_N: det(e_(kappa'_i - i + j))
+    of size kappa_1 when kappa_1 <= len(kappa), else det(h_(kappa_i - i + j))
+    of size len(kappa), never larger than N - 1, times (prod of the
+    coordinates)^lam_N; a zero coordinate is a pole only when lam_N < 0.
+    e_(nj) = (-1)^((n+1)j) e_j and h_(nj) = h_j of the x^n, the other e_k
+    and h_k are 0, and the product is (-1)^((n-1)m) prod x^n."""
     lam = tuple(lam)
     check_dominant(lam)
-    coords = [as_cyclotomic(x) for x in point]
+    coords = [as_cyclotomic(x if n == 1 else x ** n) for x in point]
     size = len(lam)
-    if len(coords) != size:
+    if len(coords) * n != size:
         raise ValueError("point arity mismatch")
     # lift every coordinate once, so the e_k / h_k updates meet one order
     order = lcm(*(c.order for c in coords))
@@ -283,21 +295,21 @@ def schur_at_point(lam, point):
     else:
         rows = kappa
     zero = Cyclotomic.rational(0, order)
-    seq = [Cyclotomic.rational(1, order)] + [zero] * top
+    seq = [Cyclotomic.rational(1, order)] + [zero] * (top // n)
     for i, x in enumerate(coords, 1):
         # one coordinate at a time, seq_k <- seq_k + x * seq_(k-1): with k
         # descending this multiplies by 1 + x z (e_k), ascending by
         # 1 / (1 - x z) (h_k); e_k has no terms past k = i yet
-        for k in range(min(i, top), 0, -1) if elementary else range(1, top + 1):
+        for k in range(min(i, top // n), 0, -1) if elementary else range(1, top // n + 1):
             seq[k] = seq[k] + x * seq[k - 1]
-    value = det_fraction_free([[seq[r - i + j] if 0 <= r - i + j <= top else zero
-                                for j in range(len(rows))]
+    if elementary and n % 2 == 0:
+        seq[1::2] = [-e for e in seq[1::2]]
+    value = det_fraction_free([[seq[d // n] if 0 <= d <= top and d % n == 0 else zero
+                                for d in range(r - i, r - i + len(rows))]
                                for i, r in enumerate(rows)])
     if base:
-        total = coords[0]
-        for c in coords[1:]:
-            total = total * c
-        value = value * total ** base
+        total = reduce(mul, coords)
+        value = value * (-total if (n - 1) * len(coords) % 2 else total) ** base
     return value
 
 

@@ -167,18 +167,18 @@ def cmd_coxeter(args):
 
 
 def run_benchmark(m, n, lam, samples=3, seed=DEFAULT_SEED):
-    """Time direct evaluation against factored evaluation on shared points;
-    returns (csv rows, all results identical)."""
+    """Time direct evaluation (`schur_at_point` at t.c_n) against factored
+    evaluation on shared t; returns (csv rows, all results identical)."""
     cert = factorize(lam, m, n)
     if not cert.balanced:
         raise ValueError("benchmark needs a balanced weight")
-    points = list(sample_points(m, n, samples, seed))
+    points = list(sample_points(m, samples, seed))
     direct_ns = []
     factored_ns = []
     checks = 0
-    for t, coords in points:
+    for t in points:
         start = time.perf_counter_ns()
-        direct = schur_at_point(cert.lam, coords)
+        direct = schur_at_point(cert.lam, t, n)
         direct_ns.append(time.perf_counter_ns() - start)
         start = time.perf_counter_ns()
         factored = factored_value(cert, t)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
 
-from .cyclotomic import Cyclotomic, zeta
+from .cyclotomic import Cyclotomic
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure, Perm,
                     check_enumeration_bound, is_column_row_product,
                     row_coset_reps, column_subgroup)
@@ -78,12 +78,6 @@ class FactorizationCertificate:
         )
 
 
-def twisted_point(t, n):
-    """The m*n coordinates (t, w t, ..., w^(n-1) t), w = zeta_n."""
-    roots = [zeta(n, k) for k in range(n)]
-    return [w * x for w in roots for x in t]
-
-
 def factorize(lam, m, n):
     """Produce the factorization certificate for a dominant weight of
     length m*n; a vanishing certificate when the residue balance fails."""
@@ -140,16 +134,15 @@ def random_regular_point(rng, m):
     return [Fraction(x) for x in rng.sample(range(2, 2 + max(96, m)), m)]
 
 
-def sample_points(m, n, samples, seed=DEFAULT_SEED):
-    """The sample points of every numeric check: samples pairs (t, the
-    twisted point at t), t drawn by `random_regular_point` from a Random
-    seeded by seed, each built when the caller reaches it.  A count below
-    1 raises at once, since zero checks cannot pass."""
+def sample_points(m, samples, seed=DEFAULT_SEED):
+    """The sample points of every numeric check: samples vectors t of
+    length m drawn by `random_regular_point` from a Random seeded by seed,
+    each when the caller reaches it, for `schur_at_point(lam, t, n)` at
+    t.c_n.  A count below 1 raises at once: zero checks cannot pass."""
     if samples < 1:
         raise ValueError("samples must be at least 1; zero checks cannot pass")
     rng = random.Random(seed)
-    draws = (random_regular_point(rng, m) for _ in range(samples))
-    return ((t, twisted_point(t, n)) for t in draws)
+    return (random_regular_point(rng, m) for _ in range(samples))
 
 
 def factored_value(cert, t):
@@ -163,13 +156,13 @@ def factored_value(cert, t):
 
 
 def verify_numeric(cert, samples=5, seed=DEFAULT_SEED):
-    """Exact spot-check of the certificate: at each sampled point the direct
-    character value must equal `factored_value`."""
-    points = sample_points(cert.m, cert.n, samples, seed)
+    """Exact spot-check of the certificate: at each sampled t the direct
+    character value at t.c_n, over Q, must equal `factored_value`."""
+    points = sample_points(cert.m, samples, seed)
     if not cert.balanced:
         raise ValueError("certificate is a vanishing certificate; nothing to factor")
-    return all(schur_at_point(cert.lam, coords) == factored_value(cert, t)
-               for t, coords in points)
+    return all(schur_at_point(cert.lam, t, cert.n) == factored_value(cert, t)
+               for t in points)
 
 
 def verify_symbolic(cert, bound=DEFAULT_ENUMERATION_BOUND):
@@ -212,9 +205,9 @@ def verify_terms(cert, terms):
 def vanishes_numerically(lam, m, n, samples=5, seed=DEFAULT_SEED):
     """Spot-check that the character is exactly zero at random twisted
     points (the expected behavior of an unbalanced weight)."""
-    points = sample_points(m, n, samples, seed)
+    points = sample_points(m, samples, seed)
     lam = tuple(lam)
-    return not any(schur_at_point(lam, coords) for _, coords in points)
+    return not any(schur_at_point(lam, t, n) for t in points)
 
 
 @dataclass

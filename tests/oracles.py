@@ -1,5 +1,6 @@
 """Second routes kept only to check the package against: the tableau Schur
-polynomial, the alternant-ratio character value, the row-set expansion
+polynomial, the alternant-ratio character value, the literal twisted
+point t.c_n that `schur_at_point(lam, t, n)` stands for, the row-set expansion
 unfactored and factored, the twisted Vandermonde multiplied out factor
 by factor, the symbolic identity with its right-hand side rebuilt
 through `alternant` and compared multiplied out, the substitution
@@ -117,6 +118,13 @@ def schur_ratio_at_point(lam, point):
     if not denom:
         raise ValueError("point not regular")
     return alternant_at_point(shifted_weight(lam), coords) / denom
+
+
+def twisted_point(t, n):
+    """The literal twisted point t.c_n: the m*n coordinates
+    (t, w t, ..., w^(n-1) t), w = zeta_n."""
+    roots = [zeta(n, k) for k in range(n)]
+    return [w * x for w in roots for x in t]
 
 
 def _minor_counts(values, rows, m, n):

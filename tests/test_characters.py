@@ -13,13 +13,13 @@ from charfactor.characters import (alternant, coset_block_sum, coxeter_value,
                                    det_fraction_free, multiply_out, schur_at_point,
                                    twisted_numerator, twisted_numerator_terms,
                                    twisted_vandermonde_closed)
-from charfactor.factorize import random_regular_point, twisted_point
+from charfactor.factorize import random_regular_point
 from charfactor.weights import (check_dominant, dominant_weights, is_residue_balanced,
                                 normalize_residue_blocks, staircase)
 from oracles import (alternant_at_point, evaluate, numerator_by_row_sets,
                      power_substitute, residue_permutation, schur_polynomial,
                      schur_ratio_at_point, symmetric_group, terms_by_row_sets,
-                     twisted_vandermonde_product)
+                     twisted_point, twisted_vandermonde_product)
 
 
 def weyl_dimension(lam):
@@ -423,6 +423,41 @@ class TestSchur:
                 assert schur_at_point(lam, point) == \
                     schur_ratio_at_point(lam, point), (m, n, lam)
         assert sides == {(side, neg) for side in "eh" for neg in (False, True)}
+
+    def test_twisted_route_matches_literal_point(self):
+        # schur_at_point(lam, t, n) runs Jacobi-Trudi on the n-th powers of
+        # t; at the literal point t.c_n the same function (n = 1) and, where
+        # the point is regular, the Weyl ratio must give the same value.
+        # Odd and even m and n up to m*n = 12, both sides, lam_N of either
+        # sign, and t with a zero, negative, fractional or cyclotomic entry
+        rng = random.Random(31337)
+        shapes = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3),
+                  (1, 4), (4, 2), (2, 5), (5, 2), (3, 4), (4, 3), (1, 12), (6, 2))
+        sides, poles, irregular = set(), 0, 0
+        for m, n in shapes:
+            for lam in oracle_weights(m * n, rng)[:6]:
+                sides.add((jacobi_trudi_side(lam), lam[-1] < 0))
+                for t in (random_regular_point(rng, m),
+                          [Fraction(-3, 2), 5, Fraction(1, 3), -7, Fraction(2, 5), 4][:m],
+                          [0, -2, 3, Fraction(5, 2), 7, -11][:m],
+                          [zeta(3), Fraction(-1, 2), 2 * zeta(4), 3, -5, 7][:m]):
+                    point = twisted_point(t, n)
+                    if lam[-1] < 0 and not all(t):
+                        poles += 1
+                        for args in ((lam, t, n), (lam, point)):
+                            with pytest.raises(ValueError, match="pole at evaluation point"):
+                                schur_at_point(*args)
+                        continue
+                    value = schur_at_point(lam, t, n)
+                    assert value == schur_at_point(lam, point), (m, n, lam, t)
+                    # t.c_n is regular when the t_s^n are nonzero and distinct
+                    powers = [as_cyclotomic(x) ** n for x in t]
+                    if all(powers) and all(a != b for a, b in itertools.combinations(powers, 2)):
+                        assert value == schur_ratio_at_point(lam, point), (m, n, lam, t)
+                    else:
+                        irregular += 1
+        assert sides == {(side, neg) for side in "eh" for neg in (False, True)}
+        assert poles and irregular
 
     def test_coxeter_value_matches_alternant_ratio(self):
         rng = random.Random(8192)

@@ -20,12 +20,12 @@ from charfactor.weights import (dominant_weights, is_residue_balanced,
                                 staircase)
 from charfactor.factorize import (FactorizationCertificate, coset_audit,
                                   coset_block_sum, factorize, random_regular_point,
-                                  sample_points, sign_via_coxeter, twisted_point,
+                                  sample_points, sign_via_coxeter,
                                   vanishes_numerically, verify_numeric,
                                   verify_symbolic)
 from charfactor.cli import run_benchmark
 from oracles import (littlewood_sign, power_substitute, symmetric_group,
-                     verify_numerator)
+                     twisted_point, verify_numerator)
 
 # the weights of TestSignViaCoxeter.test_closed_form_matches_determinant_oracle
 SIGN_GRID = (((2, 2), -2, 3), ((2, 3), -1, 2), ((3, 2), -1, 2),
@@ -332,11 +332,12 @@ class TestSamplePoints:
         # always gives a regular twisted point and none is ever redrawn
         for m, n in ((m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)):
             for seed in range(8):
-                points = list(sample_points(m, n, 4, seed))
+                points = list(sample_points(m, 4, seed))
                 assert len(points) == 4
                 first = [Fraction(x) for x in random.Random(seed).sample(range(2, 98), m)]
-                assert points[0][0] == first
-                for t, coords in points:
+                assert points[0] == first
+                for t in points:
+                    coords = twisted_point(t, n)
                     assert all(a != b for a, b in itertools.combinations(coords, 2)), \
                         (m, n, t)
 
@@ -353,7 +354,7 @@ class TestSamplePoints:
         # verify_numeric and vanishes_numerically have their own tests;
         # the count is checked on the call, not on the first point
         with pytest.raises(ValueError, match="samples must be at least 1"):
-            sample_points(2, 2, samples)
+            sample_points(2, samples)
         with pytest.raises(ValueError, match="samples must be at least 1"):
             run_benchmark(2, 2, (1, 1, 0, 0), samples=samples)
 
