@@ -2,7 +2,7 @@
 
 The twisted point attaches the m parameters t_1..t_m to every power of a
 primitive n-th root of unity: coordinate k*m+s carries zeta_n^k * t_s.
-Everything here is exact over Q(zeta_N).
+Everything here is exact: over the ints at int inputs, else over Q(zeta_N).
 
 The alternating sums (`twisted_numerator`, `coset_block_sum`, `alternant`)
 are products of block minors det(x_p^v), each built once by one S_m
@@ -27,15 +27,16 @@ the elementary or the complete symmetric functions of a concrete point,
 on the shorter side of the diagram, so of size at most N - 1.  As
 prod_(k<n) (1 + zeta_n^k x z) = 1 - (-x z)^n, those of t.c_n are e_(nj) =
 (-1)^((n+1)j) e_j and h_(nj) = h_j of the t_s^n, and zero in degrees not
-divisible by n, so a rational t keeps the determinant over Q.  It is a
-polynomial identity, so the point need not be regular.  The tableau Schur
-polynomial, the alternant ratio and the literal point t.c_n that
-cross-check it live with the test oracles.
+divisible by n, so an integer t keeps the determinant on Python ints.
+It is a polynomial identity, so the point need not be regular.  The
+tableau Schur polynomial, the alternant ratio and the literal point
+t.c_n that cross-check it live with the test oracles.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 from operator import add, mul
@@ -226,22 +227,24 @@ def twisted_vandermonde_closed(m, n):
 
 def det_fraction_free(matrix):
     """Exact determinant by fraction-free (Bareiss) elimination with row
-    pivoting; entries may mix rationals and cyclotomic values of any
-    orders, which `Cyclotomic` lifts where they meet.  Each pivot but the
-    last is inverted once and the next step multiplies by its inverse; the
-    first step divides by nothing.  Every Bareiss quotient is a minor of
-    the matrix, so for integral entries (den == 1, as at integer sample
-    points) each intermediate entry and the result stay integral."""
+    pivoting.  Every Bareiss quotient is a minor of the matrix, so an
+    all-int matrix stays on Python ints: each step divides by the previous
+    pivot with exact `//`.  Any other matrix may mix ints, Fractions and
+    cyclotomic values of any orders, which `Cyclotomic` lifts where they
+    meet; each pivot but the last is inverted once and the next step
+    multiplies by its inverse.  The first step divides by nothing."""
     size = len(matrix)
     if size == 0:
         return Cyclotomic.rational(1)
+    # `type`, not isinstance: `//` floors a Fraction, and bool stays out
+    exact = all(type(x) is int for row in matrix for x in row)
     rows = []
     for row in matrix:
         if len(row) != size:
             raise ValueError("matrix must be square")
-        rows.append([as_cyclotomic(x) for x in row])
+        rows.append(list(row) if exact else [as_cyclotomic(x) for x in row])
     sign = 1
-    zero = Cyclotomic.rational(0)
+    zero = 0 if exact else Cyclotomic.rational(0)
     for p in range(size - 1):
         if not rows[p][p]:
             for r in range(p + 1, size):
@@ -251,13 +254,13 @@ def det_fraction_free(matrix):
                     break
             else:
                 return zero
-        pivot = rows[p][p]
-        scale = rows[p - 1][p - 1].inverse() if p else None
+        pivot, prev = rows[p][p], rows[p - 1][p - 1] if p else 1
+        scale = prev.inverse() if p and not exact else None
         for r in range(p + 1, size):
             head = rows[r][p]
             for c in range(p + 1, size):
                 entry = pivot * rows[r][c] - head * rows[p][c]
-                rows[r][c] = entry * scale if p else entry
+                rows[r][c] = entry // prev if exact else entry * scale if p else entry
             rows[r][p] = zero
     det = rows[-1][-1]
     return -det if sign < 0 else det
@@ -271,16 +274,20 @@ def schur_at_point(lam, point, n=1):
     of size len(kappa), never larger than N - 1, times (prod of the
     coordinates)^lam_N; a zero coordinate is a pole only when lam_N < 0.
     e_(nj) = (-1)^((n+1)j) e_j and h_(nj) = h_j of the x^n, the other e_k
-    and h_k are 0, and the product is (-1)^((n-1)m) prod x^n."""
+    and h_k are 0, and the product is (-1)^((n-1)m) prod x^n.  Ints x^n
+    give an int (a Fraction when lam_N < 0), others a `Cyclotomic`."""
     lam = tuple(lam)
     check_dominant(lam)
-    coords = [as_cyclotomic(x if n == 1 else x ** n) for x in point]
+    coords = [x if n == 1 else x ** n for x in point]
     size = len(lam)
     if len(coords) * n != size:
         raise ValueError("point arity mismatch")
-    # lift every coordinate once, so the e_k / h_k updates meet one order
-    order = lcm(*(c.order for c in coords))
-    coords = [c.embed(order) for c in coords]
+    one, zero = 1, 0
+    if any(type(x) is not int for x in coords):
+        # lift every coordinate once, so the e_k / h_k updates meet one order
+        order = lcm(*(as_cyclotomic(x).order for x in coords))
+        coords = [as_cyclotomic(x).embed(order) for x in coords]
+        one, zero = Cyclotomic.rational(1, order), Cyclotomic.rational(0, order)
     base = lam[-1] if lam else 0
     if base < 0 and any(not c for c in coords):
         raise ValueError("pole at evaluation point")
@@ -294,8 +301,7 @@ def schur_at_point(lam, point, n=1):
         top = min(top, size)
     else:
         rows = kappa
-    zero = Cyclotomic.rational(0, order)
-    seq = [Cyclotomic.rational(1, order)] + [zero] * (top // n)
+    seq = [one] + [zero] * (top // n)
     for i, x in enumerate(coords, 1):
         # one coordinate at a time, seq_k <- seq_k + x * seq_(k-1): with k
         # descending this multiplies by 1 + x z (e_k), ascending by
@@ -306,10 +312,13 @@ def schur_at_point(lam, point, n=1):
         seq[1::2] = [-e for e in seq[1::2]]
     value = det_fraction_free([[seq[d // n] if 0 <= d <= top and d % n == 0 else zero
                                 for d in range(r - i, r - i + len(rows))]
-                               for i, r in enumerate(rows)])
+                               for i, r in enumerate(rows)]) if rows else one
     if base:
         total = reduce(mul, coords)
-        value = value * (-total if (n - 1) * len(coords) % 2 else total) ** base
+        total = -total if (n - 1) * len(coords) % 2 else total
+        if base < 0 and type(total) is int:
+            return Fraction(value, total ** -base)
+        value = value * total ** base
     return value
 
 

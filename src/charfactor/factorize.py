@@ -4,7 +4,7 @@ Given a dominant weight for the rank m*n group, the pipeline shifts by the
 staircase, tests the residue-balance condition, normalizes into residue
 blocks, reads off one rank-m weight per block, and pins the overall sign.
 The resulting certificate is exact and independently checkable two ways:
-numerically (exact equality at random rational points) and symbolically
+numerically (exact equality at random integer points) and symbolically
 (`verify_terms`, on the block minors of the numerator; the identity
 multiplied out through `alternant` is its test oracle).
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
 
@@ -128,17 +127,17 @@ def sign_via_coxeter(lam, etas, conjugate=False):
 
 
 def random_regular_point(rng, m):
-    """m distinct integers drawn from [2, max(97, m + 1)], as Fractions.
+    """m distinct integers drawn from [2, max(97, m + 1)], as Python ints.
     Distinct positive numbers have distinct n-th powers for every n, so
     the twisted point on them is regular."""
-    return [Fraction(x) for x in rng.sample(range(2, 2 + max(96, m)), m)]
+    return rng.sample(range(2, 2 + max(96, m)), m)
 
 
 def sample_points(m, samples, seed=DEFAULT_SEED):
     """The sample points of every numeric check: samples vectors t of
     length m drawn by `random_regular_point` from a Random seeded by seed,
     each when the caller reaches it, for `schur_at_point(lam, t, n)` at
-    t.c_n.  A count below 1 raises at once: zero checks cannot pass."""
+    t.c_n on Python ints.  A count below 1 raises: zero checks cannot pass."""
     if samples < 1:
         raise ValueError("samples must be at least 1; zero checks cannot pass")
     rng = random.Random(seed)
@@ -146,9 +145,9 @@ def sample_points(m, samples, seed=DEFAULT_SEED):
 
 
 def factored_value(cert, t):
-    """The factored side of the identity at t: epsilon times the product
-    of the factor characters at the n-th powers of t."""
-    value = Cyclotomic.rational(cert.epsilon)
+    """The factored side of the identity at t: the int epsilon times the
+    factor characters at the n-th powers of t, as `schur_at_point` types."""
+    value = cert.epsilon
     powers = [x ** cert.n for x in t]
     for eta in cert.etas:
         value = value * schur_at_point(eta, powers)
@@ -156,8 +155,8 @@ def factored_value(cert, t):
 
 
 def verify_numeric(cert, samples=5, seed=DEFAULT_SEED):
-    """Exact spot-check of the certificate: at each sampled t the direct
-    character value at t.c_n, over Q, must equal `factored_value`."""
+    """Exact spot-check of the certificate: at each sampled t the int (or
+    Fraction) character value at t.c_n must equal `factored_value`."""
     points = sample_points(cert.m, samples, seed)
     if not cert.balanced:
         raise ValueError("certificate is a vanishing certificate; nothing to factor")

@@ -459,6 +459,55 @@ class TestSchur:
         assert sides == {(side, neg) for side in "eh" for neg in (False, True)}
         assert poles and irregular
 
+    def test_int_route_matches_cyclotomic_route(self):
+        # at an int t the e/h recurrence, the determinant and the
+        # coordinate product stay on Python ints; the same t given as
+        # Cyclotomic values takes the lifted route.  Both sides, lam_N of
+        # either sign, negative and zero entries, and m*n up to 12
+        rng = random.Random(1729)
+        shapes = ((2, 1), (1, 2), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3),
+                  (2, 5), (3, 4), (4, 3), (2, 6), (6, 2), (1, 12))
+        sides, poles = set(), 0
+        for m, n in shapes:
+            for lam in oracle_weights(m * n, rng):
+                sides.add((jacobi_trudi_side(lam), lam[-1] < 0))
+                for t in (random_regular_point(rng, m),
+                          [rng.randint(-9, 9) for _ in range(m)],
+                          [-3, 0, 5, -7, 2, 11][:m]):
+                    lifted = [Cyclotomic.rational(x) for x in t]
+                    if lam[-1] < 0 and not all(t):
+                        poles += 1
+                        for point in (t, lifted):
+                            with pytest.raises(ValueError, match="pole at evaluation point"):
+                                schur_at_point(lam, point, n)
+                        continue
+                    value = schur_at_point(lam, t, n)
+                    expected = schur_at_point(lam, lifted, n)
+                    assert type(value) is (Fraction if lam[-1] < 0 else int)
+                    assert isinstance(expected, Cyclotomic)
+                    assert value == expected and str(value) == str(expected), (m, n, lam, t)
+        assert sides == {(side, neg) for side in "eh" for neg in (False, True)}
+        assert poles
+
+    def test_value_lives_in_the_ring_of_the_point(self):
+        # the trivial weight and rank-1 weights have an empty Jacobi-Trudi
+        # matrix; the value still follows the coordinates: a Cyclotomic at a
+        # Fraction or cyclotomic point (`cmd_coxeter` reads it with
+        # as_fraction), an int or a Fraction at an int point
+        for lam, point in (((0, 0, 0), [zeta(3, i) for i in range(3)]),
+                           ((5,), [zeta(1)]), ((-2,), [zeta(4)]),
+                           ((0, 0), [Fraction(1, 2), 3]), ((1, 0), [Fraction(1, 2), 3])):
+            value = schur_at_point(lam, point)
+            assert isinstance(value, Cyclotomic), (lam, point)
+            assert value == evaluate(schur_polynomial(lam), point)
+        assert coxeter_value((0, 0, 0)).as_fraction() == 1
+        assert coxeter_value((5,)).as_fraction() == 1
+        for lam, point, expected in (((0, 0, 0), [2, 3, 5], 1), ((5,), [3], 243),
+                                     ((3, 3), [2, 3], 216), ((-2,), [3], Fraction(1, 9)),
+                                     ((0, -2), [-1, 2], Fraction(3, 4))):
+            value = schur_at_point(lam, point)
+            assert type(value) is type(expected) and value == expected, (lam, point)
+
     def test_coxeter_value_matches_alternant_ratio(self):
         rng = random.Random(8192)
         for size in range(2, 9):
@@ -548,12 +597,48 @@ class TestDeterminant:
 
         monkeypatch.setattr(Cyclotomic, "inverse", counted)
         lam = (0, 0, 0, -3, -5, -5)
-        point = [2, 3, 5, 7, 11, 13]
+        ints = [2, 3, 5, 7, 11, 13]
+        point = [Cyclotomic.rational(x) for x in ints]
         value = schur_at_point(lam, point)
         # kappa = (5, 5, 5, 2): a size-4 h-side determinant, whose Bareiss
         # inverts 2 pivots, and one inverse for (x_1 ... x_6)^-5
         assert len(calls) == 3
         assert value == evaluate(schur_polynomial(lam), point)
+        # the same point as ints: Bareiss divides with exact //, and the
+        # power of the product is one Fraction at the end, so no inverse
+        calls.clear()
+        assert schur_at_point(lam, ints) == value
+        assert calls == []
+
+    def test_int_matrices_stay_on_ints(self):
+        # an all-int matrix divides by the previous pivot with exact //;
+        # zero entries force row swaps, at the first pivot and later ones
+        rng = random.Random(1968)
+        swapped = 0
+        for _ in range(60):
+            size = rng.randint(1, 5)
+            rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(size)]
+                    for _ in range(size)]
+            value = det_fraction_free([row[:] for row in rows])
+            assert type(value) is int
+            assert value == self.det_cofactor(rows), rows
+            swapped += bool(value) and not rows[0][0]
+        assert swapped
+        for rows in ([[0, 1], [1, 0]], [[0, 2, 1], [3, 0, 1], [1, 1, 0]],
+                     [[1, 1, 2], [1, 1, 3], [2, 5, 1]]):
+            value = det_fraction_free([row[:] for row in rows])
+            assert type(value) is int and value == self.det_cofactor(rows), rows
+
+    def test_fraction_entries_never_floor(self):
+        # // floors a Fraction, so only entries of type int take it
+        value = det_fraction_free([[Fraction(1, 2), 1], [1, Fraction(1, 3)]])
+        assert isinstance(value, Cyclotomic) and value == Fraction(-5, 6)
+        rng = random.Random(22)
+        for _ in range(20):
+            size = rng.randint(2, 4)
+            rows = [[rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5), 3)))
+                     for _ in range(size)] for _ in range(size)]
+            assert det_fraction_free([row[:] for row in rows]) == self.det_cofactor(rows)
 
     def test_alternant_at_point_negative_exponents(self):
         value = alternant_at_point((1, -1), [Fraction(2), Fraction(3)])
