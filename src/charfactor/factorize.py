@@ -134,10 +134,10 @@ def random_regular_point(rng, m):
 
 
 def sample_points(m, samples, seed=DEFAULT_SEED):
-    """The sample points of every numeric check: samples vectors t of
-    length m drawn by `random_regular_point` from a Random seeded by seed,
-    each when the caller reaches it, for `schur_at_point(lam, t, n)` at
-    t.c_n on Python ints.  A count below 1 raises: zero checks cannot pass."""
+    """The sample points of every numeric check: samples lists t of m ints
+    drawn by `random_regular_point` from a Random seeded by seed, each when
+    the caller reaches it, for `schur_at_point(lam, t, n)` at t.c_n.  A
+    count below 1 raises at once: zero checks cannot pass."""
     if samples < 1:
         raise ValueError("samples must be at least 1; zero checks cannot pass")
     rng = random.Random(seed)
@@ -146,7 +146,7 @@ def sample_points(m, samples, seed=DEFAULT_SEED):
 
 def factored_value(cert, t):
     """The factored side of the identity at t: the int epsilon times the
-    factor characters at the n-th powers of t, as `schur_at_point` types."""
+    product of the factor characters at the n-th powers of t."""
     value = cert.epsilon
     powers = [x ** cert.n for x in t]
     for eta in cert.etas:
