@@ -13,21 +13,22 @@ class r, so the numerator is det(F_n)^m times the n minors det(B_r) when
 every class holds m distinct values and zero otherwise.  With the rows
 fixed to a coset, the sum is the sign of the representative times the n
 minors on its rows; a block on a pair of proportional rows makes it zero
-before any minor is built.  `factorize.verify_terms` decides the symbolic
-identity on the tuple of minors, and `multiply_out` turns it into a
-Laurent polynomial, once.  The twisted Vandermonde is the numerator of
-the staircase, det(x_p^(rho_j)) = prod_(a<b) (x_a - x_b), so it takes
-the same route.  The row-set expansion, unfactored and factored, the
-brute-force (mn)! and row-subgroup sums, the identity compared
-multiplied out through `alternant`, and the Vandermonde multiplied out
-factor by factor are test oracles.
+before any minor is built.  A numerator is one pair (tuple of minors,
+scalar): `factorize.verify_terms` decides the symbolic identity on it,
+and `multiply_out` multiplies the minors out in turn, once.  The twisted
+Vandermonde det(x_p^(rho_j)) = prod_(a<b) (x_a - x_b) is the numerator
+of the staircase, so it takes the same route.  The row-set expansion,
+unfactored and factored, the brute-force (mn)! and row-subgroup sums,
+the identity multiplied out through `alternant`, and the Vandermonde
+multiplied out factor by factor are test oracles.
 
 Character values come from one route, Jacobi-Trudi: one determinant over
 the elementary or the complete symmetric functions of a concrete point,
 on the shorter side of the diagram, so of size at most N - 1.  As
 prod_(k<n) (1 + zeta_n^k x z) = 1 - (-x z)^n, those of t.c_n are e_(nj) =
 (-1)^((n+1)j) e_j and h_(nj) = h_j of the t_s^n, and zero in degrees not
-divisible by n, so an integer t keeps the determinant on Python ints.
+divisible by n, so an integer t keeps the determinant on Python ints;
+the Coxeter point (1, w, ..., w^(N-1)) is 1.c_N, so its values are ints.
 It is a polynomial identity, so the point need not be regular.  The
 tableau Schur polynomial, the alternant ratio and the literal point
 t.c_n that cross-check it live with the test oracles.
@@ -99,27 +100,26 @@ def _minor_tuple(blocks, m, n):
 
 
 def multiply_out(terms, m, n):
-    """The Laurent polynomial of terms {tuple of canonical minors: scalar
-    in Z[zeta_n]}: each tuple multiplied out once, by prefix, summed once."""
-    if not terms:
+    """The Laurent polynomial of terms, a pair (tuple of canonical minors,
+    scalar in Z[zeta_n]) or None for zero: the minors multiplied out in
+    turn, then times the scalar."""
+    if terms is None:
         return LaurentPoly.zero(m)  # an unbalanced mu
-    total, products = {}, {(): {(0,) * (m + 1): 1}}
-
-    def product(idt):
-        if idt not in products:
-            products[idt] = out = {}
-            for ka, ca in product(idt[:-1]).items():
-                for kb, zb, cb in idt[-1]:
-                    key = (*map(add, ka, kb), (ka[m] + zb) % n)
-                    out[key] = out.get(key, 0) + ca * cb
-        return products[idt]
-
-    for idt, scalar in terms.items():
-        coords = [(i, x) for i, x in enumerate(scalar.num) if x]
-        for key, cnt in product(idt).items():
-            row = total.setdefault(key[:m], [0] * n)
-            for i, x in coords:
-                row[(key[m] + i) % n] += cnt * x
+    forms, scalar = terms
+    product = {(0,) * (m + 1): 1}
+    for form in forms:
+        out = {}
+        for ka, ca in product.items():
+            for kb, zb, cb in form:
+                key = (*map(add, ka, kb), (ka[m] + zb) % n)
+                out[key] = out.get(key, 0) + ca * cb
+        product = out
+    total = {}
+    coords = [(i, x) for i, x in enumerate(scalar.num) if x]
+    for key, cnt in product.items():
+        row = total.setdefault(key[:m], [0] * n)
+        for i, x in coords:
+            row[(key[m] + i) % n] += cnt * x
     terms = {texp: _power_map(row, n, 1) for texp, row in total.items()}
     return LaurentPoly._raw(m, {t: Cyclotomic(n, v, _den=1) for t, v in terms.items() if any(v)})
 
@@ -145,23 +145,24 @@ def coset_block_sum(mu, m, n, rep):
         return LaurentPoly.zero(m)
     forms, c, sign = minors
     scalar = zeta(n, c)
-    return multiply_out({forms: scalar if sign * rep.sign > 0 else -scalar}, m, n)
+    return multiply_out((forms, scalar if sign * rep.sign > 0 else -scalar), m, n)
 
 
 def twisted_numerator_terms(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
     """The twisted alternant det(x_p^(mu_j)), x_(k*m+s) = zeta_n^k * t_s, as
-    {tuple of n canonical minors (frozensets of (t-exponents, power of
-    zeta_n, count)): nonzero scalar in Q(zeta_n)}.  Sorted by residue
-    class mod n, with the parity of the sort, the matrix is (F_n x I_m)
-    diag(B_0, ..., B_(n-1)), F_n = (zeta_n^(kr)) and B_r = (t_s^v) over
-    the values v of class r.  So a mu with a repeated entry or classes of
-    unequal size gives {}, and any other one tuple: the minors det(B_r),
-    with det(F_n)^m = (-1)^(C(n,2) C(m+1,2)) `denominator_scalar(m, n)`."""
+    one pair (tuple of n canonical minors, frozensets of (t-exponents,
+    power of zeta_n, count); nonzero scalar in Z[zeta_n]).  Sorted by
+    residue class mod n, with the parity of the sort, the matrix is (F_n x
+    I_m) diag(B_0, ..., B_(n-1)), F_n = (zeta_n^(kr)) and B_r = (t_s^v)
+    over the values v of class r.  So a mu with a repeated entry or classes
+    of unequal size gives None (a zero numerator), and any other one the
+    minors det(B_r) with det(F_n)^m = (-1)^(C(n,2) C(m+1,2)) times
+    `denominator_scalar(m, n)`."""
     check_enumeration_bound(m * n, bound)
     if len(mu) != m * n:
         raise ValueError("mu length must be m*n")
     if len(set(mu)) < len(mu) or not is_residue_balanced(mu, m, n):
-        return {}
+        return None
     order = sorted(range(m * n), key=lambda j: mu[j] % n)
     tops = [(0, s) for s in range(m)]
     # the values are distinct, so no minor vanishes
@@ -170,7 +171,7 @@ def twisted_numerator_terms(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
     if (n * (n - 1) // 2) * (m * (m + 1) // 2) % 2:
         sign = -sign
     scalar = denominator_scalar(m, n)
-    return {forms: scalar if sign * permutation_parity(order) > 0 else -scalar}
+    return forms, scalar if sign * permutation_parity(order) > 0 else -scalar
 
 
 def twisted_numerator(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
@@ -322,16 +323,12 @@ def schur_at_point(lam, point, n=1):
     return value
 
 
-def coxeter_value(lam, conjugate=False):
+def coxeter_value(lam):
     """Character value at the regular point (1, w, w^2, ...), w a primitive
-    root of unity of order len(lam); always 0, 1, or -1.
-
-    With conjugate=True the point is built from the inverse root instead;
-    the result must agree whenever it is determined.
-    """
-    size = len(lam)
-    step = -1 if conjugate else 1
-    value = schur_at_point(lam, [zeta(size, step * i) for i in range(size)])
-    if not (value == 0 or value == 1 or value == -1):
+    root of unity of order N = len(lam): that point is 1.c_N, so this is
+    `schur_at_point(lam, [1], N)` on ints, as an int; always 0, 1, or -1,
+    and 1 for the empty weight."""
+    value = int(schur_at_point(lam, [1], len(lam))) if lam else 1
+    if value not in (0, 1, -1):
         raise RuntimeError(f"character value at a Coxeter point outside 0,+1,-1: {value}")
     return value

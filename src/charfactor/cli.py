@@ -159,9 +159,7 @@ def cmd_coset_audit(args):
 
 def cmd_coxeter(args):
     lam = _parse_weight(args.lam)
-    value = coxeter_value(lam)
-    payload = {"lambda": list(lam), "order": len(lam),
-               "value": int(value.as_fraction())}
+    payload = {"lambda": list(lam), "order": len(lam), "value": coxeter_value(lam)}
     _write(args, json.dumps(payload, indent=2))
     return EXIT_PASS
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from operator import mul
 
 from .cyclotomic import Cyclotomic
@@ -98,18 +98,16 @@ def factorize(lam, m, n):
                                     epsilon=epsilon)
 
 
-def sign_via_coxeter(lam, etas, conjugate=False):
+def sign_via_coxeter(lam, etas):
     """Determinant oracle for the sign of the factorization.
 
     Both sides of the identity take values in {0, +1, -1} at the
     primitive-root point (1, a, a^2, ...) with a of order m*n, whose n-th
     powers give the analogous rank-m point; when both are nonzero their
-    ratio is the sign.  Returns None when both vanish there.
+    ratio, an int, is the sign.  Returns None when both vanish there.
     """
-    big = coxeter_value(tuple(lam), conjugate=conjugate)
-    small = Cyclotomic.rational(1)
-    for eta in etas:
-        small = small * coxeter_value(tuple(eta), conjugate=conjugate)
+    big = coxeter_value(tuple(lam))
+    small = prod(coxeter_value(tuple(eta)) for eta in etas)
     if not small and not big:
         return None
     if not big:
@@ -118,12 +116,7 @@ def sign_via_coxeter(lam, etas, conjugate=False):
     if not small:
         raise RuntimeError("direct side nonzero but factored side zero "
                            "at the Coxeter point")
-    value = big / small
-    if value == 1:
-        return 1
-    if value == -1:
-        return -1
-    raise RuntimeError(f"factorization sign is not +-1: {value}")
+    return big * small
 
 
 def random_regular_point(rng, m):
@@ -178,11 +171,12 @@ def verify_symbolic(cert, bound=DEFAULT_ENUMERATION_BOUND):
 
 
 def verify_terms(cert, terms):
-    """`verify_symbolic` given terms, the `twisted_numerator_terms` of
-    cert.mu.  The factored side is the tuple of the n canonical minors of
-    det(t_s^(k + n(eta_k + rho)_j)); terms that are exactly that tuple pass
-    with its scalar times their signs, anything else is compared multiplied
-    out.  Etas not n weights of length m, or a zero minor, match no scalar."""
+    """`verify_symbolic` given terms, the `twisted_numerator_terms` pair
+    of cert.mu.  The factored side is the tuple of the n canonical minors
+    of det(t_s^(k + n(eta_k + rho)_j)); terms whose minors are exactly
+    that tuple pass with their scalar times its signs, anything else is
+    compared multiplied out.  Etas not n weights of length m, or a zero
+    minor, match no scalar."""
     m, n = cert.m, cert.n
     if len(cert.etas) != n or any(len(eta) != m for eta in cert.etas):
         return False, None
@@ -192,11 +186,11 @@ def verify_terms(cert, terms):
     if minors is None:
         return False, None
     rhs, _, sign = minors
-    if terms.keys() == {rhs}:
-        scalar = terms[rhs] if sign > 0 else -terms[rhs]
+    if terms and terms[0] == rhs:
+        scalar = terms[1] if sign > 0 else -terms[1]
     else:
         scalar = multiply_out(terms, m, n).scalar_ratio(
-            multiply_out({rhs: Cyclotomic.rational(sign, n)}, m, n))
+            multiply_out((rhs, Cyclotomic.rational(sign, n)), m, n))
     ok = scalar is not None and scalar * cert.w0_sign == denominator_scalar(m, n) * cert.epsilon
     return ok, scalar
 

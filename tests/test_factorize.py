@@ -13,7 +13,7 @@ from charfactor.laurent import LaurentPoly, block_specialize
 from charfactor.perms import (BlockStructure, EnumerationTooLarge, Perm,
                               is_column_row_product, row_coset_reps,
                               row_subgroup, column_subgroup)
-from charfactor.characters import (alternant, block_key, schur_at_point,
+from charfactor.characters import (alternant, block_key, multiply_out, schur_at_point,
                                    twisted_numerator, twisted_numerator_terms)
 from charfactor.weights import (dominant_weights, is_residue_balanced,
                                 normalize_residue_blocks, shifted_weight,
@@ -24,8 +24,8 @@ from charfactor.factorize import (FactorizationCertificate, coset_audit,
                                   vanishes_numerically, verify_numeric,
                                   verify_symbolic)
 from charfactor.cli import run_benchmark
-from oracles import (littlewood_sign, power_substitute, symmetric_group,
-                     twisted_point, verify_numerator)
+from oracles import (littlewood_sign, power_substitute, schur_ratio_at_point,
+                     symmetric_group, twisted_point, verify_numerator)
 
 # the weights of TestSignViaCoxeter.test_closed_form_matches_determinant_oracle
 SIGN_GRID = (((2, 2), -2, 3), ((2, 3), -1, 2), ((3, 2), -1, 2),
@@ -108,14 +108,24 @@ class TestSignViaCoxeter:
             sign_via_coxeter((1, 1, 0, 0), ((0, 0), (0, 0)))
 
     def test_conjugate_point_gives_same_sign(self):
-        # (2, 2, 1, 1) vanishes at the Coxeter point, so the oracle is
-        # undecided there
+        # the Weyl ratios at the points built from the inverse roots of
+        # orders m*n and m give the same sign; (2, 2, 1, 1) vanishes at the
+        # Coxeter point, so the oracle is undecided there
+        def conjugate(size):
+            return [zeta(size, -i) for i in range(size)]
+
         for lam, m, n, expected in (((0, 0, 0, 0), 2, 2, 1), ((2, 1, 0), 1, 3, -1),
                                     ((2, 2, 1, 1), 2, 2, None)):
             cert = factorize(lam, m, n)
-            sign = sign_via_coxeter(lam, cert.etas, conjugate=True)
-            assert sign == expected
-            assert sign in (None, cert.epsilon)
+            big = schur_ratio_at_point(lam, conjugate(m * n))
+            small = 1
+            for eta in cert.etas:
+                small = small * schur_ratio_at_point(eta, conjugate(m))
+            if expected is None:
+                assert not big and not small
+            else:
+                assert big == small * expected and expected == cert.epsilon
+            assert sign_via_coxeter(lam, cert.etas) == expected
 
     def test_closed_form_matches_determinant_oracle(self):
         grid = (((2, 2), -2, 3), ((2, 3), -1, 2), ((3, 2), -1, 2),
@@ -290,18 +300,24 @@ class TestVerifySymbolic:
         cert = factorize((2, 2, 2, 2, 1, 0), 2, 3)
         assert verify_symbolic(dataclasses.replace(cert, etas=etas)) == (False, None)
 
-    def test_two_surviving_tuples_are_multiplied_out(self, monkeypatch):
-        # a numerator with a second tuple beside the matching one is not a
-        # scalar times the factored side; matching its first tuple alone
-        # would pass it
+    def test_another_weights_minors_are_multiplied_out(self, monkeypatch):
+        # minors that are not the factored side's go through the
+        # multiplied-out comparison, which finds no single scalar
         cert = factorize((2, 2, 2, 2, 1, 0), 2, 3)
         terms = twisted_numerator_terms(cert.mu, 2, 3)
         other = twisted_numerator_terms(factorize((0,) * 6, 2, 3).mu, 2, 3)
-        assert len(terms) == len(other) == 1 and terms.keys() != other.keys()
-        monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
-                            "twisted_numerator_terms",
-                            lambda *args, **kwargs: {**terms, **other})
+        assert terms[0] != other[0]
+        module = importlib.import_module("charfactor.factorize")
+        calls = []
+
+        def counted(pair, m, n):
+            calls.append(pair)
+            return multiply_out(pair, m, n)
+
+        monkeypatch.setattr(module, "twisted_numerator_terms", lambda *args, **kwargs: other)
+        monkeypatch.setattr(module, "multiply_out", counted)
         assert verify_symbolic(cert) == (False, None)
+        assert calls[0] == other and len(calls) == 2
 
     def test_agrees_with_numeric_on_stock(self):
         for lam in dominant_weights(4, 0, 2):
