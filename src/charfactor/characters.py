@@ -5,22 +5,24 @@ primitive n-th root of unity: coordinate k*m+s carries zeta_n^k * t_s.
 Everything here is exact: over the ints at int inputs, else over Q(zeta_N).
 
 The alternating sums (`twisted_numerator`, `coset_block_sum`, `alternant`)
-are products of block minors det(x_p^v), each built once by one S_m
-enumeration as +-zeta_n^c times a canonical minor.  Sorted by residue
-class mod n, the twisted matrix factors as (F_n x I_m) diag(B_0, ...,
-B_(n-1)), F_n = (zeta_n^(kr)) and B_r = (t_s^v) over the values v of
-class r, so the numerator is det(F_n)^m times the n minors det(B_r) when
-every class holds m distinct values and zero otherwise.  With the rows
-fixed to a coset, the sum is the sign of the representative times the n
-minors on its rows; a block on a pair of proportional rows makes it zero
-before any minor is built.  A numerator is one pair (tuple of minors,
-scalar): `factorize.verify_terms` decides the symbolic identity on it,
-and `multiply_out` multiplies the minors out in turn, once.  The twisted
-Vandermonde det(x_p^(rho_j)) = prod_(a<b) (x_a - x_b) is the numerator
-of the staircase, so it takes the same route.  The row-set expansion,
-unfactored and factored, the brute-force (mn)! and row-subgroup sums,
-the identity multiplied out through `alternant`, and the Vandermonde
-multiplied out factor by factor are test oracles.
+are products of plain alternants det(t_s^v).  Sorted by residue class mod
+n, the twisted matrix factors as (F_n x I_m) diag(B_0, ..., B_(n-1)), F_n
+= (zeta_n^(kr)) and B_r = (t_s^v) over the values v of class r, so the
+numerator is det(F_n)^m times the n alternants det(B_r) when every class
+holds m distinct values and zero otherwise.  With the rows fixed to a
+coset and each block of mu in one class r, row (k, s) of the block is
+zeta_n^(kr) t_s^v, so the sum is a signed root of unity times the n
+alternants, and zero when a block has two rows in one t-column.  A
+numerator is one pair (n tuples of exponents, scalar), so no key holds a
+power of zeta_n: `factorize.verify_terms` decides the symbolic identity
+on the tuples, and `multiply_out` expands each alternant over Z and
+multiplies them out in turn, once.  The twisted Vandermonde
+det(x_p^(rho_j)) = prod_(a<b) (x_a - x_b) is the numerator of the
+staircase, so it takes the same route.  The row-set expansion,
+unfactored and factored with its zeta-keyed minors, the brute-force
+(mn)! and row-subgroup sums, the identity multiplied out through
+`alternant`, and the Vandermonde multiplied out factor by factor are
+test oracles.
 
 Character values come from one route, Jacobi-Trudi: one determinant over
 the elementary or the complete symmetric functions of a concrete point,
@@ -39,26 +41,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, gcd, lcm
+from math import comb, lcm
 from operator import add, mul
 
-from .cyclotomic import Cyclotomic, _power_map, as_cyclotomic, zeta
+from .cyclotomic import Cyclotomic, as_cyclotomic, zeta
 from .laurent import LaurentPoly
 from .perms import (DEFAULT_ENUMERATION_BOUND, check_enumeration_bound,
                     permutation_parity)
-from .weights import check_dominant, is_residue_balanced
-
-
-def block_key(places, values, m, n):
-    """The monomial prod x_p^v with x_(k*m+s) = zeta_n^k * t_s, given one
-    place (k, s) per value, as the integer key (t_1..t_m exponents, power
-    of zeta_n mod n)."""
-    key = [0] * (m + 1)
-    for (k, s), v in zip(places, values):
-        key[s] += v
-        key[m] += k * v
-    key[m] %= n
-    return tuple(key)
+from .weights import check_dominant, is_residue_balanced, normalize_residue_blocks
 
 
 @lru_cache(maxsize=None)
@@ -67,126 +57,87 @@ def _parities(m):
     return tuple(map(permutation_parity, itertools.permutations(range(m))))
 
 
-def _block_minor(values, places, m, n):
-    # det(x_p^v), p at the places (k, s) in order and v in values, by
-    # `block_key` counts, as (form, c, sign): sign * zeta_n^c times the
-    # canonical form; None when the counts cancel
-    counts = {}
-    for arranged, parity in zip(itertools.permutations(values), _parities(m)):
-        key = block_key(places, arranged, m, n)
-        counts[key] = counts.get(key, 0) + parity
-    first = min((key for key, cnt in counts.items() if cnt), default=None)
-    if first is None:
-        return None
-    c, sign = first[m], 1 if counts[first] > 0 else -1
-    form = frozenset([(key[:m], (key[m] - c) % n, sign * cnt)
-                      for key, cnt in counts.items() if cnt])
-    return form, c, sign
-
-
-def _minor_tuple(blocks, m, n):
-    # the minors of the (values, places) blocks as (tuple of canonical
-    # forms, sum of their powers of zeta_n, product of their signs); None
-    # when one of them vanishes
-    forms, c, sign = [], 0, 1
-    for values, places in blocks:
-        minor = _block_minor(values, places, m, n)
-        if minor is None:
-            return None
-        forms.append(minor[0])
-        c += minor[1]
-        sign *= minor[2]
-    return tuple(forms), c, sign
-
-
-def multiply_out(terms, m, n):
-    """The Laurent polynomial of terms, a pair (tuple of canonical minors,
-    scalar in Z[zeta_n]) or None for zero: the minors multiplied out in
-    turn, then times the scalar."""
+def multiply_out(terms, m):
+    """The Laurent polynomial of terms, a pair (n tuples of m exponents,
+    scalar) or None for zero: the alternant det(t_s^(v_j)) of each tuple,
+    its values in the order given, expanded over Z and multiplied into
+    the product in turn, then every term times the scalar once."""
     if terms is None:
         return LaurentPoly.zero(m)  # an unbalanced mu
-    forms, scalar = terms
-    product = {(0,) * (m + 1): 1}
-    for form in forms:
+    blocks, scalar = terms
+    product = {(0,) * m: 1}
+    for values in blocks:
+        arrangements = list(zip(itertools.permutations(values), _parities(m)))
         out = {}
-        for ka, ca in product.items():
-            for kb, zb, cb in form:
-                key = (*map(add, ka, kb), (ka[m] + zb) % n)
-                out[key] = out.get(key, 0) + ca * cb
+        for key, c in product.items():
+            for arranged, parity in arrangements:
+                at = tuple(map(add, key, arranged))
+                out[at] = out.get(at, 0) + parity * c
         product = out
-    total = {}
-    coords = [(i, x) for i, x in enumerate(scalar.num) if x]
-    for key, cnt in product.items():
-        row = total.setdefault(key[:m], [0] * n)
-        for i, x in coords:
-            row[(key[m] + i) % n] += cnt * x
-    terms = {texp: _power_map(row, n, 1) for texp, row in total.items()}
-    return LaurentPoly._raw(m, {t: Cyclotomic(n, v, _den=1) for t, v in terms.items() if any(v)})
+    return LaurentPoly._raw(m, {key: scalar * c for key, c in product.items() if c})
 
 
 def coset_block_sum(mu, m, n, rep):
     """Signed sum of the block-specialized monomials of mu over the left
-    coset of the row subgroup represented by rep: sgn(rep) times the n
-    minors of block k of mu on the rows rep(block k), multiplied out; it
-    holds for any mu.  A block on a pair of proportional rows makes the
-    sum zero before any minor is built."""
+    coset of the row subgroup represented by rep, for mu whose blocks each
+    lie in one residue class mod n; a block that mixes classes raises
+    ValueError.  Row (k, s) of a block of class r is zeta_n^(kr) t_s^v, so
+    the sum is sgn(rep) times, for each block, the sign of its t-columns
+    and zeta_n^(r * sum of its k), times the n alternants, multiplied out.
+    Two rows of a block in one t-column make the sum zero before anything
+    is multiplied out."""
     if len(mu) != m * n:
         raise ValueError("mu length must be m*n")
-    blocks = [(mu[k:k + m], [divmod(p - 1, m) for p in rep.images[k:k + m]])
-              for k in range(0, m * n, m)]
-    for values, places in blocks:
-        # rows (k, s) and (k', s) are proportional on the values exactly
-        # when (k' - k)(v - v0) = 0 mod n for every v, so when step | k' - k
-        step = n // gcd(n, *(v - values[0] for v in values))
-        if len({(k % step, s) for k, s in places}) < m:
-            return LaurentPoly.zero(m)
-    minors = _minor_tuple(blocks, m, n)
-    if minors is None:
+    residues = [v % n for v in mu]
+    if any(r != residues[p - p % m] for p, r in enumerate(residues)):
+        raise ValueError("a block of mu mixes residue classes mod n")
+    places = [divmod(p - 1, m) for p in rep.images]
+    cols = [s for _, s in places]
+    if any(len(set(cols[q:q + m])) < m for q in range(0, m * n, m)):
         return LaurentPoly.zero(m)
-    forms, c, sign = minors
-    scalar = zeta(n, c)
-    return multiply_out((forms, scalar if sign * rep.sign > 0 else -scalar), m, n)
+    sign = rep.sign
+    for q in range(0, m * n, m):
+        sign *= permutation_parity(cols[q:q + m])
+    scalar = zeta(n, sum(residues[p] * k for p, (k, _) in enumerate(places)))
+    return multiply_out((tuple(tuple(mu[q:q + m]) for q in range(0, m * n, m)),
+                         scalar if sign > 0 else -scalar), m)
 
 
 def twisted_numerator_terms(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
     """The twisted alternant det(x_p^(mu_j)), x_(k*m+s) = zeta_n^k * t_s, as
-    one pair (tuple of n canonical minors, frozensets of (t-exponents,
-    power of zeta_n, count); nonzero scalar in Z[zeta_n]).  Sorted by
-    residue class mod n, with the parity of the sort, the matrix is (F_n x
-    I_m) diag(B_0, ..., B_(n-1)), F_n = (zeta_n^(kr)) and B_r = (t_s^v)
-    over the values v of class r.  So a mu with a repeated entry or classes
-    of unequal size gives None (a zero numerator), and any other one the
-    minors det(B_r) with det(F_n)^m = (-1)^(C(n,2) C(m+1,2)) times
-    `denominator_scalar(m, n)`."""
+    one pair (n tuples of m exponents, nonzero scalar in Z[zeta_n]).
+    Rearranged by `normalize_residue_blocks`, with the sign of the
+    rearrangement, the matrix is (F_n x I_m) diag(B_0, ..., B_(n-1)), F_n =
+    (zeta_n^(kr)) and B_r = (t_s^v) over the values v of class r mod n in
+    decreasing order.  So a mu with a repeated entry or classes of unequal
+    size gives None (a zero numerator), and any other one the n classes
+    with det(F_n)^m = (-1)^(C(n,2) C(m+1,2)) `denominator_scalar(m, n)`."""
     check_enumeration_bound(m * n, bound)
     if len(mu) != m * n:
         raise ValueError("mu length must be m*n")
     if len(set(mu)) < len(mu) or not is_residue_balanced(mu, m, n):
         return None
-    order = sorted(range(m * n), key=lambda j: mu[j] % n)
-    tops = [(0, s) for s in range(m)]
-    # the values are distinct, so no minor vanishes
-    forms, _, sign = _minor_tuple([([mu[j] for j in order[k:k + m]], tops)
-                                   for k in range(0, m * n, m)], m, n)
+    normal, sign = normalize_residue_blocks(mu, m, n)
     if (n * (n - 1) // 2) * (m * (m + 1) // 2) % 2:
         sign = -sign
     scalar = denominator_scalar(m, n)
-    return forms, scalar if sign * permutation_parity(order) > 0 else -scalar
+    return (tuple(normal[q:q + m] for q in range(0, m * n, m)),
+            scalar if sign > 0 else -scalar)
 
 
 def twisted_numerator(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
     """`twisted_numerator_terms` multiplied out: an exact Laurent polynomial
     in t_1..t_m over Q(zeta_n), antisymmetric in mu, and zero exactly when
     mu has a repeated entry or residue classes mod n of unequal size."""
-    return multiply_out(twisted_numerator_terms(mu, m, n, bound), m, n)
+    return multiply_out(twisted_numerator_terms(mu, m, n, bound), m)
 
 
 def alternant(exponents):
     """det(t_s^(e_j)), the alternating sum over all arrangements of the
     exponent vector, as a Laurent polynomial: the case n = 1 of the
-    twisted numerator, a single minor, at any length."""
+    twisted numerator, a single alternant, at any length."""
     m = len(exponents)
-    return multiply_out(twisted_numerator_terms(exponents, m, 1, bound=m), m, 1)
+    return multiply_out(twisted_numerator_terms(exponents, m, 1, bound=m), m)
 
 
 @lru_cache(maxsize=None)

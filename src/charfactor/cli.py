@@ -102,7 +102,7 @@ def cmd_verify(args):
     num_ok = verify_numeric(cert, samples=args.samples, seed=args.seed)
     if args.emit == "poly":
         lines = [
-            f"numerator: {multiply_out(terms, args.m, args.n)}",
+            f"numerator: {multiply_out(terms, args.m)}",
             f"scalar: {scalar}" if scalar is not None else "scalar: none",
             f"symbolic: {'pass' if sym_ok else 'fail'}",
             f"numeric: {'pass' if num_ok else 'fail'}",
@@ -241,8 +241,11 @@ def cmd_sweep(args):
         raise ValueError("--min must not exceed --max")
     lams = sorted(dominant_weights(args.m * args.n, args.low, args.high))
     packed = [(lam, args.m, args.n, args.samples, args.seed) for lam in lams]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork pool starts every worker at once, so never more than there
+    # are weights or CPUs
+    jobs = min(args.jobs, len(packed), os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_one, packed))
     else:
         rows = [_sweep_one(p) for p in packed]

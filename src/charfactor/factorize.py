@@ -5,8 +5,9 @@ staircase, tests the residue-balance condition, normalizes into residue
 blocks, reads off one rank-m weight per block, and pins the overall sign.
 The resulting certificate is exact and independently checkable two ways:
 numerically (exact equality at random integer points) and symbolically
-(`verify_terms`, on the block minors of the numerator; the identity
-multiplied out through `alternant` is its test oracle).
+(`verify_terms`, on the n tuples of exponents whose alternants make up
+the numerator; the identity multiplied out through `alternant` is its
+test oracle).
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .cyclotomic import Cyclotomic
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure, Perm,
                     check_enumeration_bound, is_column_row_product,
                     row_coset_reps, column_subgroup)
-from .characters import (_minor_tuple, coset_block_sum, coxeter_value,
-                         denominator_scalar, multiply_out, schur_at_point,
-                         twisted_numerator_terms)
+from .characters import (coset_block_sum, coxeter_value, denominator_scalar,
+                         multiply_out, schur_at_point, twisted_numerator_terms)
 from .weights import (check_dominant, factor_weights, is_residue_balanced,
                       normalize_residue_blocks, shifted_weight, staircase)
 
@@ -163,8 +163,8 @@ def verify_symbolic(cert, bound=DEFAULT_ENUMERATION_BOUND):
     blocks k of det(t_s^(k + n(eta_k + rho)_j)), which is (t_1..t_m)^(n(n-1)/2)
     times the block alternants in t^n; and that scalar, with the
     rearrangement sign and the denominator constant, must reproduce
-    epsilon.  Returns (ok, scalar) from `verify_terms` on the block minors
-    of the numerator; scalar is None when no single scalar matches."""
+    epsilon.  Returns (ok, scalar) from `verify_terms` on the numerator's
+    pair; scalar is None when no single scalar matches."""
     if not cert.balanced:
         raise ValueError("certificate is a vanishing certificate; nothing to factor")
     return verify_terms(cert, twisted_numerator_terms(cert.mu, cert.m, cert.n, bound=bound))
@@ -172,25 +172,20 @@ def verify_symbolic(cert, bound=DEFAULT_ENUMERATION_BOUND):
 
 def verify_terms(cert, terms):
     """`verify_symbolic` given terms, the `twisted_numerator_terms` pair
-    of cert.mu.  The factored side is the tuple of the n canonical minors
-    of det(t_s^(k + n(eta_k + rho)_j)); terms whose minors are exactly
-    that tuple pass with their scalar times its signs, anything else is
-    compared multiplied out.  Etas not n weights of length m, or a zero
-    minor, match no scalar."""
+    of cert.mu.  The factored side is the n tuples k + n(eta_k + rho) of
+    exponents; terms whose tuples are exactly those pass with their
+    scalar, anything else is compared multiplied out.  Etas not n weights
+    of length m, or with a zero alternant, match no scalar."""
     m, n = cert.m, cert.n
     if len(cert.etas) != n or any(len(eta) != m for eta in cert.etas):
         return False, None
-    tops = [(0, s) for s in range(m)]
-    minors = _minor_tuple([([k + n * (e + r) for e, r in zip(eta, staircase(m))], tops)
-                           for k, eta in enumerate(cert.etas)], m, n)
-    if minors is None:
-        return False, None
-    rhs, _, sign = minors
+    rhs = tuple(tuple(k + n * (e + r) for e, r in zip(eta, staircase(m)))
+                for k, eta in enumerate(cert.etas))
     if terms and terms[0] == rhs:
-        scalar = terms[1] if sign > 0 else -terms[1]
+        scalar = terms[1]
     else:
-        scalar = multiply_out(terms, m, n).scalar_ratio(
-            multiply_out((rhs, Cyclotomic.rational(sign, n)), m, n))
+        scalar = multiply_out(terms, m).scalar_ratio(
+            multiply_out((rhs, Cyclotomic.rational(1, n)), m))
     ok = scalar is not None and scalar * cert.w0_sign == denominator_scalar(m, n) * cert.epsilon
     return ok, scalar
 

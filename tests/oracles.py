@@ -1,13 +1,15 @@
 """Second routes kept only to check the package against: the tableau Schur
 polynomial, the alternant-ratio character value, the literal twisted
-point t.c_n that `schur_at_point(lam, t, n)` stands for, the row-set expansion
-unfactored and factored, the twisted Vandermonde multiplied out factor
-by factor, the symbolic identity with its right-hand side rebuilt
-through `alternant` and compared multiplied out, the substitution
-t_s -> t_s^k, evaluation of a Laurent polynomial at a point, all of S_N,
-the column-row products by explicit multiplication, the permutation that
-normalizes the residue blocks, and Littlewood's n-sign by ribbon
-removal.  None of them runs on a product path.
+point t.c_n that `schur_at_point(lam, t, n)` stands for, the row-set
+expansion unfactored and factored, with its minors keyed by t-exponents
+and a power of zeta_n and multiplied out on those keys, the twisted
+Vandermonde multiplied out factor by factor, the symbolic identity with
+its right-hand side rebuilt through `alternant` and compared multiplied
+out, the substitution t_s -> t_s^k, evaluation of a Laurent polynomial
+at a point, all of S_N, the column-row products by explicit
+multiplication, the permutation that normalizes the residue blocks, and
+Littlewood's n-sign by ribbon removal.  None of them runs on a product
+path.
 """
 
 import itertools
@@ -15,8 +17,8 @@ from functools import lru_cache
 from math import gcd
 from operator import add, gt
 
-from charfactor.characters import (_block_minor, alternant, block_key,
-                                   denominator_scalar, det_fraction_free)
+from charfactor.characters import (_parities, alternant, denominator_scalar,
+                                   det_fraction_free)
 from charfactor.cyclotomic import (Cyclotomic, _power_map, _sparse_power_rows,
                                    as_cyclotomic, field_degree, zeta)
 from charfactor.laurent import LaurentPoly
@@ -125,6 +127,73 @@ def twisted_point(t, n):
     (t, w t, ..., w^(n-1) t), w = zeta_n."""
     roots = [zeta(n, k) for k in range(n)]
     return [w * x for w in roots for x in t]
+
+
+def block_key(places, values, m, n):
+    """The monomial prod x_p^v with x_(k*m+s) = zeta_n^k * t_s, given one
+    place (k, s) per value, as the integer key (t_1..t_m exponents, power
+    of zeta_n mod n)."""
+    key = [0] * (m + 1)
+    for (k, s), v in zip(places, values):
+        key[s] += v
+        key[m] += k * v
+    key[m] %= n
+    return tuple(key)
+
+
+def _block_minor(values, places, m, n):
+    # det(x_p^v), p at the places (k, s) in order and v in values, by
+    # `block_key` counts, as (form, c, sign): sign * zeta_n^c times the
+    # canonical form; None when the counts cancel
+    counts = {}
+    for arranged, parity in zip(itertools.permutations(values), _parities(m)):
+        key = block_key(places, arranged, m, n)
+        counts[key] = counts.get(key, 0) + parity
+    first = min((key for key, cnt in counts.items() if cnt), default=None)
+    if first is None:
+        return None
+    c, sign = first[m], 1 if counts[first] > 0 else -1
+    form = frozenset([(key[:m], (key[m] - c) % n, sign * cnt)
+                      for key, cnt in counts.items() if cnt])
+    return form, c, sign
+
+
+def canonical_pair(terms, m, n):
+    """A `twisted_numerator_terms` pair in the terms of `terms_by_row_sets`:
+    (tuple of the canonical minors of its exponent tuples, its scalar
+    times their signs)."""
+    blocks, scalar = terms
+    tops = [(0, s) for s in range(m)]
+    forms = []
+    for values in blocks:
+        form, _, sign = _block_minor(values, tops, m, n)
+        forms.append(form)
+        scalar = scalar if sign > 0 else -scalar
+    return tuple(forms), scalar
+
+
+def multiply_out_forms(terms, m, n):
+    """The Laurent polynomial of one `terms_by_row_sets` pair (tuple of
+    canonical minors, scalar in Z[zeta_n]): the minors multiplied out in
+    turn, keyed by t-exponents and a power of zeta_n, then times the
+    scalar."""
+    forms, scalar = terms
+    product = {(0,) * (m + 1): 1}
+    for form in forms:
+        out = {}
+        for ka, ca in product.items():
+            for kb, zb, cb in form:
+                key = (*map(add, ka, kb), (ka[m] + zb) % n)
+                out[key] = out.get(key, 0) + ca * cb
+        product = out
+    total = {}
+    coords = [(i, x) for i, x in enumerate(scalar.num) if x]
+    for key, cnt in product.items():
+        row = total.setdefault(key[:m], [0] * n)
+        for i, x in coords:
+            row[(key[m] + i) % n] += cnt * x
+    terms = {texp: _power_map(row, n, 1) for texp, row in total.items()}
+    return LaurentPoly._raw(m, {t: Cyclotomic(n, v, _den=1) for t, v in terms.items() if any(v)})
 
 
 def _minor_counts(values, rows, m, n):

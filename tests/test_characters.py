@@ -16,10 +16,10 @@ from charfactor.characters import (alternant, coset_block_sum, coxeter_value,
 from charfactor.factorize import random_regular_point
 from charfactor.weights import (check_dominant, dominant_weights, is_residue_balanced,
                                 normalize_residue_blocks, staircase)
-from oracles import (alternant_at_point, evaluate, numerator_by_row_sets,
-                     power_substitute, residue_permutation, schur_polynomial,
-                     schur_ratio_at_point, symmetric_group, terms_by_row_sets,
-                     twisted_point, twisted_vandermonde_product)
+from oracles import (alternant_at_point, canonical_pair, evaluate, multiply_out_forms,
+                     numerator_by_row_sets, power_substitute, residue_permutation,
+                     schur_polynomial, schur_ratio_at_point, symmetric_group,
+                     terms_by_row_sets, twisted_point, twisted_vandermonde_product)
 
 
 def weyl_dimension(lam):
@@ -152,6 +152,20 @@ def off_normal_form(rng, m, n):
             with_repeated_entry(rng, m, n)]
 
 
+def single_residue_blocks(rng, m, n):
+    # mu whose blocks each lie in one residue class: the normalized
+    # staircase and a normalized balanced shuffle, that one with its blocks
+    # in random order and shuffled inside, and blocks of classes drawn with
+    # repeats (an unbalanced mu whose coset sums need not vanish)
+    zero, _ = normalize_residue_blocks(staircase(m * n), m, n)
+    normal, _ = normalize_residue_blocks(balanced_shuffle(rng, m, n, -3, 3 * m * n), m, n)
+    blocks = [rng.sample(normal[q:q + m], m) for q in range(0, m * n, m)]
+    rng.shuffle(blocks)
+    drawn = [rng.sample(range(r - n, r + 3 * m * n, n), m)
+             for r in (rng.randrange(n) for _ in range(n))]
+    return [zero, normal, tuple(itertools.chain(*blocks)), tuple(itertools.chain(*drawn))]
+
+
 class TestFactoredExpansion:
     # the block minors against the row-set expansions, past the m*n <= 8
     # of numerator_by_symmetric_group
@@ -193,58 +207,56 @@ class TestFactoredExpansion:
         numerator = twisted_numerator(mu, m, n)
         assert numerator == numerator_by_row_sets(mu, m, n)
         # the oracle may keep several tuples; each is one pair multiplied out
-        assert numerator == sum((multiply_out(pair, m, n)
+        assert numerator == sum((multiply_out_forms(pair, m, n)
                                  for pair in terms_by_row_sets(mu, m, n).items()),
                                 LaurentPoly.zero(m))
         terms = twisted_numerator_terms(mu, m, n)
         if len(set(mu)) < len(mu) or not is_residue_balanced(mu, m, n):
             assert terms is None and not numerator
         else:
-            order = sorted(range(m * n), key=lambda j: mu[j] % n)
-            sign = permutation_parity(order)
-            [(idt, c)] = terms_by_row_sets(tuple(mu[j] for j in order), m, n).items()
-            assert terms == (idt, c if sign > 0 else -c)
+            # the n residue classes, decreasing, with the sign of the sort
+            normal, sign = normalize_residue_blocks(mu, m, n)
+            assert terms[0] == tuple(normal[q:q + m] for q in range(0, m * n, m))
+            [(idt, c)] = terms_by_row_sets(normal, m, n).items()
+            assert canonical_pair(terms, m, n) == (idt, c if sign > 0 else -c)
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (2, 4)])
     def test_every_row_coset_matches_unfactored_expansion(self, m, n):
-        # with the rows fixed nothing is sorted by residue, so a block's
-        # values may mix residues and survive with their minors nonzero; at
-        # n = 4 a block whose values differ by 2 mod 4 has classes k mod 2
+        # with the rows fixed, each block of mu lies in one residue class
+        # but the blocks come in any class order and any order inside
         rng = random.Random(300 * m + n)
-        zero, _ = normalize_residue_blocks(staircase(m * n), m, n)
         nonzero = 0
-        for mu in (zero, *off_normal_form(rng, m, n)):
+        for mu in single_residue_blocks(rng, m, n):
             for rep in row_coset_reps(m, n):
                 total = coset_block_sum(mu, m, n, rep)
                 assert total == numerator_by_row_sets(mu, m, n, rep.images), (mu, rep)
                 nonzero += bool(total)
         assert nonzero
 
-    def test_normal_form_builds_one_minor_per_block(self, monkeypatch):
-        # in residue order every pick with two rows in one t-column is
-        # proportional, and the rest share one minor up to a root of unity
-        module = importlib.import_module("charfactor.characters")
-        built = []
+    @pytest.mark.parametrize("mu", [(4, 1, 2, 0), (3, 1, 2, 5), (0, 1, 2, 3)])
+    def test_block_mixing_residue_classes_rejected(self, mu):
+        for rep in row_coset_reps(2, 2):
+            with pytest.raises(ValueError, match="mixes residue classes"):
+                coset_block_sum(mu, 2, 2, rep)
 
-        def counted(*args):
-            built.append(args)
-            return block_minor(*args)
-
-        block_minor = module._block_minor
-        monkeypatch.setattr(module, "_block_minor", counted)
+    def test_normal_form_builds_one_minor_per_block(self):
+        # the pair holds the 3 residue classes of the staircase, decreasing,
+        # one alternant each
         mu, sign = normalize_residue_blocks(staircase(12), 4, 3)
+        blocks, _ = twisted_numerator_terms(mu, 4, 3, bound=12)
+        assert blocks == ((9, 6, 3, 0), (10, 7, 4, 1), (11, 8, 5, 2))
         expected = twisted_vandermonde_closed(4, 3).scale(sign)
         assert twisted_numerator(mu, 4, 3, bound=12) == expected
-        assert len(built) == 3
 
     def test_fixed_rows_with_a_proportional_pair_build_no_minor(self, monkeypatch):
         # rows 3 and 5 are zeta_3^k t_1 with k = 1 and 2: proportional on
-        # values of one residue, so the coset sum is zero before any minor
+        # values of one residue, so the coset sum is zero before anything
+        # is multiplied out
         def refuse(*args):
-            raise AssertionError("a minor was built")
+            raise AssertionError("a minor was multiplied out")
 
         monkeypatch.setattr(importlib.import_module("charfactor.characters"),
-                            "_block_minor", refuse)
+                            "multiply_out", refuse)
         mu, _ = normalize_residue_blocks(staircase(6), 2, 3)
         assert not coset_block_sum(mu, 2, 3, Perm((1, 2, 3, 5, 4, 6)))
 

@@ -113,7 +113,7 @@ class TestFactorCommand:
             raise AssertionError("work started before --output was checked")
 
         monkeypatch.setattr(cli, "factorize", refuse)
-        monkeypatch.setattr(characters, "_block_minor", refuse)
+        monkeypatch.setattr(characters, "multiply_out", refuse)
         monkeypatch.setattr(cli, "twisted_vandermonde_closed", refuse)
         code = main([*argv, "--output", str(tmp_path)])
         captured = capsys.readouterr()
@@ -179,7 +179,7 @@ class TestCountValidation:
 
         monkeypatch.setattr(cli, "factorize", refuse)
         monkeypatch.setattr(cli, "coset_audit", refuse)
-        monkeypatch.setattr(characters, "_block_minor", refuse)
+        monkeypatch.setattr(characters, "multiply_out", refuse)
         monkeypatch.setattr(cli, "twisted_vandermonde_closed", refuse)
         code = main(list(argv))
         captured = capsys.readouterr()
@@ -320,7 +320,7 @@ class TestDenomCheckCommand:
             raise AssertionError("the Vandermonde work started above the bound")
 
         monkeypatch.setattr(cli, "staircase", refuse)
-        monkeypatch.setattr(characters, "_block_minor", refuse)
+        monkeypatch.setattr(characters, "multiply_out", refuse)
         monkeypatch.setattr(cli, "twisted_vandermonde_closed", refuse)
         if env is not None:
             monkeypatch.setenv("CHARFACTOR_BOUND", env)
@@ -451,7 +451,9 @@ class TestSweepCommand:
         assert len(rows) == 6
         assert all(r["check_passed"] == "True" for r in rows)
 
-    def test_process_pool_output_matches_serial(self, capsys):
+    def test_process_pool_output_matches_serial(self, capsys, monkeypatch):
+        # two CPUs, so the pool is not capped to a serial run
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         argv = ("sweep", "--m", "2", "--n", "3", "--min", "0", "--max", "2",
                 "--samples", "1")
         serial = run_cli(capsys, *argv, "--jobs", "1")
@@ -459,6 +461,38 @@ class TestSweepCommand:
         assert serial[0] == 0
         assert json.loads(serial[1])["summary"]["total"] > 0
         assert pooled == serial
+
+    @pytest.mark.parametrize("argv,cpus,workers", [
+        (("--m", "1", "--n", "1", "--min", "0", "--max", "0", "--jobs", "3"), 4, []),
+        (("--m", "1", "--n", "2", "--min", "0", "--max", "2", "--jobs", "1000000"), 4, [4]),
+        (("--m", "1", "--n", "2", "--min", "0", "--max", "1", "--jobs", "1000000"), 8, [3]),
+        (("--m", "1", "--n", "2", "--min", "0", "--max", "2", "--jobs", "5"), None, []),
+        (("--m", "1", "--n", "2", "--min", "0", "--max", "2", "--jobs", "2"), 8, [2]),
+    ])
+    def test_pool_capped_at_weights_and_cpus(self, capsys, monkeypatch, argv, cpus, workers):
+        # a fake pool records its size and runs serially, so no worker
+        # process starts; one worker runs without a pool at all
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return map(func, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out = run_cli(capsys, "sweep", *argv, "--samples", "1")
+        assert code == 0
+        assert json.loads(out)["summary"]["failed"] == 0
+        assert started == workers
 
     def test_rows_sorted_by_weight(self, capsys):
         code, out = run_cli(capsys, "sweep", "--m", "1", "--n", "2",

@@ -13,7 +13,7 @@ from charfactor.laurent import LaurentPoly, block_specialize
 from charfactor.perms import (BlockStructure, EnumerationTooLarge, Perm,
                               is_column_row_product, row_coset_reps,
                               row_subgroup, column_subgroup)
-from charfactor.characters import (alternant, block_key, multiply_out, schur_at_point,
+from charfactor.characters import (alternant, multiply_out, schur_at_point,
                                    twisted_numerator, twisted_numerator_terms)
 from charfactor.weights import (dominant_weights, is_residue_balanced,
                                 normalize_residue_blocks, shifted_weight,
@@ -24,7 +24,7 @@ from charfactor.factorize import (FactorizationCertificate, coset_audit,
                                   vanishes_numerically, verify_numeric,
                                   verify_symbolic)
 from charfactor.cli import run_benchmark
-from oracles import (littlewood_sign, power_substitute, schur_ratio_at_point,
+from oracles import (block_key, littlewood_sign, power_substitute, schur_ratio_at_point,
                      symmetric_group, twisted_point, verify_numerator)
 
 # the weights of TestSignViaCoxeter.test_closed_form_matches_determinant_oracle
@@ -263,7 +263,7 @@ class TestVerifySymbolic:
         for (m, n), scalar in (((5, 3), "-2187 - 4374*z"), ((6, 2), "64")):
             cases += [(factorize(lam, m, n), True, scalar) for lam in past_twelve_weights(m, n)]
 
-        def refuse(terms, m, n):
+        def refuse(terms, m):
             raise AssertionError("the factored check left a certificate undecided")
 
         monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
@@ -310,9 +310,9 @@ class TestVerifySymbolic:
         module = importlib.import_module("charfactor.factorize")
         calls = []
 
-        def counted(pair, m, n):
+        def counted(pair, m):
             calls.append(pair)
-            return multiply_out(pair, m, n)
+            return multiply_out(pair, m)
 
         monkeypatch.setattr(module, "twisted_numerator_terms", lambda *args, **kwargs: other)
         monkeypatch.setattr(module, "multiply_out", counted)
@@ -427,19 +427,27 @@ class TestCosetBlockSum:
 
     @pytest.mark.parametrize("m,n", [(2, 2), (1, 3), (3, 2), (2, 3)])
     def test_coset_sums_decompose_full_numerator(self, m, n):
-        # every coset sum against the row-subgroup oracle, for the
-        # normalized staircase and for distinct entries in random order
-        # (whose outside cosets need not vanish); the oracle sums add up
-        # to the full numerator
+        # every coset sum against the row-subgroup oracle, for mu whose
+        # blocks each lie in one residue class: the normalized staircase, a
+        # normalized balanced weight, and that one with its blocks permuted
+        # and shuffled inside (whose outside cosets need not vanish); the
+        # oracle sums add up to the full numerator
         rng = random.Random(10 * m + n)
-        for mu in (normalize_residue_blocks(staircase(m * n), m, n)[0],
-                   tuple(rng.sample(range(-3, 10), m * n))):
+        normal, _ = normalize_residue_blocks(
+            tuple(r + n * j for r in range(n) for j in rng.sample(range(-1, m + 2), m)), m, n)
+        blocks = [rng.sample(normal[q:q + m], m) for q in range(0, m * n, m)]
+        rng.shuffle(blocks)
+        nonzero = 0
+        for mu in (normalize_residue_blocks(staircase(m * n), m, n)[0], normal,
+                   tuple(itertools.chain(*blocks))):
             total = LaurentPoly.zero(m)
             for rep in row_coset_reps(m, n):
                 expected = coset_sum_by_row_subgroup(mu, m, n, rep)
                 assert coset_block_sum(mu, m, n, rep) == expected, (mu, rep)
                 total = total + expected
+                nonzero += bool(expected)
             assert total == twisted_numerator(mu, m, n)
+        assert nonzero
 
 
 def constants_by_row_subgroup(mu, m, n, etas):
@@ -544,22 +552,32 @@ class TestCosetAudit:
 
     def test_row_invariance_check_can_fail(self, monkeypatch):
         # left unnormalized, the staircase has row blocks whose column
-        # constants a swap inside the block changes
+        # constants a swap inside the block changes; those blocks mix
+        # residue classes, so the coset sums are stubbed
         fz = importlib.import_module("charfactor.factorize")
         monkeypatch.setattr(fz, "normalize_residue_blocks",
                             lambda v, m, n: (tuple(v), 1))
+        with pytest.raises(ValueError, match="mixes residue classes"):
+            coset_audit((0, 0, 0, 0, 0, 0), 2, 3)
+        monkeypatch.setattr(fz, "coset_block_sum", lambda mu, m, n, rep: LaurentPoly.zero(m))
         report = coset_audit((0, 0, 0, 0, 0, 0), 2, 3)
         assert not report.passed
         named = row_invariance_failures(report)
         assert len(named) == 30
         assert not any("does not rescale" in failure for failure in report.failures)
-        assert sum("nonzero block sum" in failure for failure in report.failures) == 54
+        assert not any("nonzero block sum" in failure for failure in report.failures)
         powers, changers = constants_by_row_subgroup(
             (5, 4, 3, 2, 1, 0), 2, 3, column_subgroup(2, 3))
         assert report.omega_powers == powers
         assert set(named) == {eta for eta, changed in changers.items() if changed}
         for eta, sigma in named.items():
             assert sigma in changers[eta], (eta, sigma)
+        # a nonzero coset sum is one failure per outside coset
+        monkeypatch.setattr(fz, "coset_block_sum", lambda mu, m, n, rep: LaurentPoly.one(m))
+        report = coset_audit((0, 0, 0, 0, 0, 0), 2, 3)
+        assert report.tested_outside == 54
+        assert sum("nonzero block sum" in failure for failure in report.failures) == 54
+        assert row_invariance_failures(report) == named
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
     def test_closed_form_matches_row_subgroup_oracle(self, monkeypatch, m, n):
@@ -567,10 +585,12 @@ class TestCosetAudit:
         # are not normalized, so that non-column etas rescale some of them
         # and both halves of the invariance check (t-exponents and the power
         # of zeta_n) are needed: with normalized mu no non-column eta
-        # rescales at all
+        # rescales at all.  Such arrangements mix residue classes inside a
+        # block, so the coset sums are stubbed
         fz = importlib.import_module("charfactor.factorize")
         monkeypatch.setattr(fz, "column_subgroup",
                             lambda m, n: symmetric_group(m * n))
+        monkeypatch.setattr(fz, "coset_block_sum", lambda mu, m, n, rep: LaurentPoly.zero(m))
         rng = random.Random(10 * m + n)
         kinds = set()
         for lam in ((0,) * (m * n), (2, 1) + (0,) * (m * n - 2)):
