@@ -81,20 +81,22 @@ def coset_block_sum(mu, m, n, rep):
     """Signed sum of the block-specialized monomials of mu over the left
     coset of the row subgroup represented by rep, for mu whose blocks each
     lie in one residue class mod n; a block that mixes classes raises
-    ValueError.  Row (k, s) of a block of class r is zeta_n^(kr) t_s^v, so
-    the sum is sgn(rep) times, for each block, the sign of its t-columns
-    and zeta_n^(r * sum of its k), times the n alternants, multiplied out.
-    Two rows of a block in one t-column make the sum zero before anything
-    is multiplied out."""
+    ValueError, checked first on every call.  Row (k, s) of a block of
+    class r is zeta_n^(kr) t_s^v, so the sum is sgn(rep) times, for each
+    block, the sign of its t-columns and zeta_n^(r * sum of its k), times
+    the n alternants, multiplied out.  Two rows of a block in one t-column,
+    that is fewer than m*n distinct keys k*m + (image mod m) as in
+    `perms.is_column_row_product`, make the sum zero before anything else
+    is built."""
     if len(mu) != m * n:
         raise ValueError("mu length must be m*n")
-    residues = [v % n for v in mu]
-    if any(r != residues[p - p % m] for p, r in enumerate(residues)):
+    if any((v - mu[p - p % m]) % n for p, v in enumerate(mu)):
         raise ValueError("a block of mu mixes residue classes mod n")
+    if len({q // m * m + p % m for q, p in enumerate(rep.images)}) < m * n:
+        return LaurentPoly.zero(m)
+    residues = [v % n for v in mu]
     places = [divmod(p - 1, m) for p in rep.images]
     cols = [s for _, s in places]
-    if any(len(set(cols[q:q + m])) < m for q in range(0, m * n, m)):
-        return LaurentPoly.zero(m)
     sign = rep.sign
     for q in range(0, m * n, m):
         sign *= permutation_parity(cols[q:q + m])

@@ -235,14 +235,14 @@ class CosetAuditReport:
 def _sample_outside_cosets(m, n, count, rng):
     # count distinct row-subgroup cosets with no column-row representative,
     # each drawn uniformly: shuffle the positions, sort each row block's
-    # images into the canonical representative, reject column-row draws
-    # and repeats
+    # images into the canonical representative (a permutation by
+    # construction, so unchecked), reject column-row draws and repeats
     blocks = BlockStructure(m, n)
     images = list(range(1, m * n + 1))
     drawn = {}
     while len(drawn) < count:
         rng.shuffle(images)
-        rep = Perm(x for k in range(0, m * n, m) for x in sorted(images[k:k + m]))
+        rep = Perm._unchecked(x for k in range(0, m * n, m) for x in sorted(images[k:k + m]))
         if rep not in drawn and not is_column_row_product(rep, blocks):
             drawn[rep] = None
     return list(drawn)
@@ -285,14 +285,18 @@ def coset_audit(lam, m, n, outside_sample=None,
     to the zero polynomial, and (b) every column element rescales the base
     monomial by a power of zeta_n that is unchanged under the row action.
 
-    (a) walks every row-subgroup coset, or, when outside_sample is below
-    the (mn)!/(m!)^n - (n!)^m outside cosets, draws that many distinct ones
-    with a Random seeded by seed, without listing the rest.  (b) is in
-    closed form: for a column element eta, key(eta.w) - key(w) is linear in
-    the arrangement w, with coefficients read off eta in one pass, so the
-    constant is a dot product with mu and its row invariance a condition on
-    each row block's value differences.  m*n above bound raises
-    EnumerationTooLarge before any coset is summed.
+    (a) walks the canonical representative of every row-subgroup coset
+    (`row_coset_reps`), keeps those that fail `is_column_row_product`, and
+    sums each through one `coset_block_sum` call; or, when outside_sample
+    is below the (mn)!/(m!)^n - (n!)^m outside cosets, it draws that many
+    distinct ones with a Random seeded by seed, without listing the rest.
+    (b) is in closed form: for a column element eta, key(eta.w) - key(w)
+    is linear in the arrangement w, with coefficients read off eta in one
+    pass, so the constant is a dot product with mu and its row invariance
+    a condition on each row block's value differences: no value changes
+    column, and, only where some block's gcd of differences is nonzero mod
+    n (never for a residue-normalized mu), one power of zeta_n per block.
+    m*n above bound raises EnumerationTooLarge before any coset is summed.
     """
     if outside_sample is not None and outside_sample < 1:
         raise ValueError("outside_sample must be at least 1; zero cosets cannot pass")
@@ -319,10 +323,13 @@ def coset_audit(lam, m, n, outside_sample=None,
     # subgroup exactly when no swap inside a row block changes it on any
     # arrangement: in each row block with unequal values, no value changes
     # column and rows[p] times the gcd of the block's value differences
-    # (spread_at[p]) is one residue mod n.
+    # (spread_at[p]) is one residue mod n.  When every spread is 0 mod n,
+    # as for every residue-normalized mu, those residues are all 0, so
+    # only the column moves are checked.
     col_at = [p % m for p in range(m * n)]
     first_at = [p - p % m for p in range(m * n)]
     spread_at = [gcd(*(mu[p] - mu[q] for p in range(q, q + m))) for q in first_at]
+    spread_mod_n = any(g % n for g in spread_at)
     base = sum(p // m * v for p, v in enumerate(mu))
     omega_powers = {}
     changed = []
@@ -334,9 +341,9 @@ def coset_audit(lam, m, n, outside_sample=None,
             failures.append(f"column element {eta!r} does not rescale by a root of unity")
             continue
         omega_powers[eta] = (sum(map(mul, rows, mu)) - base) % n
-        scaled = [r * g % n for r, g in zip(rows, spread_at)]
-        if scaled != [scaled[q] for q in first_at] or (moved and any(
-                g and c != c0 for c, c0, g in zip(cols, col_at, spread_at))):
+        if (spread_mod_n and any((r - rows[q]) * g % n
+                                 for r, g, q in zip(rows, spread_at, first_at))) or (
+                moved and any(g and c != c0 for c, c0, g in zip(cols, col_at, spread_at))):
             sigma = _breaking_row_element(cols, rows, mu, m, n)
             changed.append(f"constant of {eta!r} changes under row element {sigma!r}")
 

@@ -148,34 +148,32 @@ def column_subgroup(m, n):
 
 def is_column_row_product(perm, blocks):
     """Does perm factor as (column element) * (row element)?  Criterion: no
-    two positions of one row block may land in the same column block."""
-    m, n = blocks.m, blocks.n
-    for k in range(n):
-        hit = [False] * m
-        for pos in range(m * k + 1, m * (k + 1) + 1):
-            col = (perm(pos) - 1) % m
-            if hit[col]:
-                return False
-            hit[col] = True
-    return True
+    two positions of one row block land in the same column block, that is,
+    the pairs (row block of the position, column of its image) are m*n
+    distinct ones, one set of keys k*m + (image mod m)."""
+    m = blocks.m
+    return len({q // m * m + p % m for q, p in enumerate(perm.images)}) == m * blocks.n
 
 
 def row_coset_reps(m, n, bound=DEFAULT_ENUMERATION_BOUND):
-    """One representative per left coset of the row subgroup in S_(m*n).
+    """One representative per left coset of the row subgroup in S_(m*n),
+    as a generator of `Perm` in lexicographic order.
 
     A coset is determined by the image set of each row block; the canonical
     representative sorts each block's images ascending, which is the
-    lexicographically least element of the coset.
+    lexicographically least element of the coset.  Each block but the last
+    chooses m of the images still free, in combinations order, and the last
+    block takes the m left over, with no generator level of its own.
     """
     total = m * n
     check_enumeration_bound(total, bound)
 
     def assign(remaining, prefix):
-        if not remaining:
-            yield prefix
-            return
         for chosen in itertools.combinations(remaining, m):
             rest = tuple(x for x in remaining if x not in chosen)
-            yield from assign(rest, prefix + chosen)
+            if len(rest) > m:
+                yield from assign(rest, prefix + chosen)
+            else:
+                yield prefix + chosen + rest
 
     return (Perm._unchecked(flat) for flat in assign(tuple(range(1, total + 1)), ()))

@@ -375,6 +375,16 @@ def symmetric_group(size, bound=DEFAULT_ENUMERATION_BOUND):
         yield Perm._unchecked(images)
 
 
+def row_coset_reps_by_sorting(m, n):
+    """Every image vector of S_mn with each row block sorted ascending, as a
+    sorted list without repeats: the canonical row coset representatives
+    in lexicographic order, from all (mn)! permutations; oracle for
+    row_coset_reps."""
+    reps = {tuple(x for q in range(0, m * n, m) for x in sorted(p.images[q:q + m]))
+            for p in symmetric_group(m * n)}
+    return sorted(reps)
+
+
 def column_row_products(blocks):
     """The set {c * r : c in the column subgroup, r in the row subgroup},
     built by explicit products; oracle for is_column_row_product."""

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -363,6 +364,31 @@ class TestCosetAuditCommand:
         code, _ = run_cli(capsys, "coset-audit", "--m", "2", "--n", "5",
                           "--lambda", ",".join(["0"] * 10), "--outside-sample", "5")
         assert code == 2
+
+    # every balanced weight with entries in [0, 1] at (2, 4) and (4, 2), the
+    # zero weight at (3, 3) and one sampled (3, 3) audit; k ones, then zeros
+    PINNED = [
+        (2, 4, 0, None, "7d208af1ef4f7f3f"), (2, 4, 4, None, "40386a050fbe828d"),
+        (2, 4, 8, None, "0a9bbcd6920868c9"), (4, 2, 0, None, "501d7148fd310365"),
+        (4, 2, 2, None, "38221423fd53f08e"), (4, 2, 4, None, "79000b8032062ca2"),
+        (4, 2, 6, None, "573c43adb13f5231"), (4, 2, 8, None, "8984280a3dce866f"),
+        (3, 3, 0, None, "47f9e220d27e9f32"), (3, 3, 3, 40, "d7b387f4620e9390"),
+    ]
+
+    def test_reports_pinned_by_digest(self, capsys):
+        # sha256 prefixes of the whole JSON report, within a 2 s budget for
+        # all ten (about 0.1 s on a 2-vCPU VM)
+        start = time.perf_counter()
+        for m, n, ones, sample, digest in self.PINNED:
+            lam = ",".join(["1"] * ones + ["0"] * (m * n - ones))
+            argv = ["coset-audit", "--m", str(m), "--n", str(n), "--lambda", lam]
+            if sample:
+                argv += ["--outside-sample", str(sample)]
+            code, out = run_cli(capsys, *argv)
+            assert code == 0, argv
+            assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, argv
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2, f"pinned coset audits took {elapsed:.2f}s"
 
     def test_constants_template_matches_indented_json(self):
         # the constants are spliced into the rest of the report by text, so

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from charfactor.perms import (BlockStructure, EnumerationTooLarge, Perm,
                               column_subgroup, is_column_row_product,
                               row_coset_reps, row_subgroup)
-from oracles import column_row_products, symmetric_group
+from oracles import column_row_products, row_coset_reps_by_sorting, symmetric_group
 
 
 class TestPerm:
@@ -107,7 +107,7 @@ class TestColumnRowProducts:
                     for p in symmetric_group(m * n))
         assert count == math.factorial(m) ** n * math.factorial(n) ** m
 
-    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (1, 3), (3, 1)])
     def test_criterion_matches_brute_force(self, m, n):
         blocks = BlockStructure(m, n)
         brute = column_row_products(blocks)
@@ -127,6 +127,24 @@ class TestColumnRowProducts:
             assert is_column_row_product(perm, blocks) == (perm in brute)
         for perm in brute:
             assert is_column_row_product(perm, blocks)
+
+    def test_criterion_matches_brute_force_sampled_three_three(self):
+        import random
+
+        blocks = BlockStructure(3, 3)
+        brute = column_row_products(blocks)
+        assert len(brute) == math.factorial(3) ** 6
+        rng = random.Random(33)
+        verdicts = set()
+        for _ in range(2000):
+            images = list(range(1, 10))
+            rng.shuffle(images)
+            perm = Perm(images)
+            verdict = is_column_row_product(perm, blocks)
+            assert verdict == (perm in brute), perm
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+        assert all(is_column_row_product(perm, blocks) for perm in brute)
 
     def test_groups_intersect_trivially(self):
         rows = set(row_subgroup(2, 3))
@@ -149,6 +167,13 @@ class TestCosetReps:
         assert len(list(row_coset_reps(2, 2))) == 6
         assert len(list(row_coset_reps(2, 3))) == 90
         assert len(list(row_coset_reps(3, 2))) == 20
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3),
+                                     (3, 2), (2, 4)])
+    def test_matches_sorted_blocks_of_every_permutation(self, m, n):
+        # same set and same order; at n = 1 the last block is the only one
+        assert [rep.images for rep in row_coset_reps(m, n)] == \
+            row_coset_reps_by_sorting(m, n)
 
     def test_reps_cover_all_cosets_once(self):
         reps = list(row_coset_reps(2, 2))
