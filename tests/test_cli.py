@@ -263,6 +263,22 @@ class TestVerifyCommand:
         assert (code, out) == (3, "numerator: 0\nvanishing: pass\n")
         assert elapsed < 1, f"{elapsed:.2f}s"
 
+    @pytest.mark.parametrize("emit", ["json", "poly"])
+    def test_unbalanced_past_bound_exits_before_any_work(self, capsys, monkeypatch, emit):
+        # m*n = 10 is past the default bound, and both formats refuse it
+        # before sampling, though the weight is unbalanced
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled past the bound")
+
+        monkeypatch.delenv("CHARFACTOR_BOUND", raising=False)
+        monkeypatch.setattr(cli, "vanishes_numerically", refuse)
+        code = main(["verify", "--m", "2", "--n", "5", "--lambda=1,0,0,0,0,0,0,0,0,0",
+                     "--emit", emit])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: instance too large for exact enumeration "
+                                "(S_10 exceeds the enumeration bound 9)\n")
+
     def test_zero_weight_at_size_twelve(self, capsys):
         # the JSON path checks the identity factor by factor; multiplying
         # out the factored side alone took 6.5 s here
