@@ -145,14 +145,10 @@ def digests(argv):
             "code": code}
 
 
-def _fixed_environment(setenv, delenv):
-    # usage lines wrap at the terminal width; the bound has an env override
-    setenv("COLUMNS", "80")
-    delenv("CHARFACTOR_BOUND")
-
-
 def test_battery_matches_recorded_digests(monkeypatch):
-    _fixed_environment(monkeypatch.setenv, lambda k: monkeypatch.delenv(k, raising=False))
+    # usage lines wrap at the terminal width; the bound has an env override
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("CHARFACTOR_BOUND", raising=False)
     with open(BATTERY) as handle:
         recorded = json.load(handle)
     assert [entry["argv"] for entry in recorded] == battery()
@@ -171,8 +167,8 @@ def test_mask_hides_only_wall_times():
 
 
 if __name__ == "__main__":
-    _fixed_environment(lambda k, v: os.environ.__setitem__(k, v),
-                       lambda k: os.environ.pop(k, None))
+    os.environ["COLUMNS"] = "80"
+    os.environ.pop("CHARFACTOR_BOUND", None)
     entries = [digests(argv) for argv in battery()]
     with open(BATTERY, "w") as handle:
         json.dump(entries, handle, indent=1)
