@@ -2,7 +2,7 @@
 
 The twisted point attaches the m parameters t_1..t_m to every power of a
 primitive n-th root of unity: coordinate k*m+s carries zeta_n^k * t_s.
-Everything here is exact: over the ints at int inputs, else over Q(zeta_N).
+Everything is exact: ints stay ints, and `Cyclotomic` lifts field orders.
 
 The alternating sums (`twisted_numerator`, `coset_block_sum`, `alternant`)
 are products of plain alternants det(t_s^v).  Sorted by residue class mod
@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, lcm
+from math import comb
 from operator import add, mul
 
 from .cyclotomic import Cyclotomic, as_cyclotomic, zeta
@@ -61,7 +61,8 @@ def multiply_out(terms, m):
     """The Laurent polynomial of terms, a pair (n tuples of m exponents,
     scalar) or None for zero: the alternant det(t_s^(v_j)) of each tuple,
     its values in the order given, expanded over Z and multiplied into
-    the product in turn, then every term times the scalar once."""
+    the product in turn, then every term times the scalar once (the int 1
+    keeps int coefficients)."""
     if terms is None:
         return LaurentPoly.zero(m)  # an unbalanced mu
     blocks, scalar = terms
@@ -189,7 +190,7 @@ def det_fraction_free(matrix):
     multiplies by its inverse.  The first step divides by nothing."""
     size = len(matrix)
     if size == 0:
-        return Cyclotomic.rational(1)
+        return 1
     # `type`, not isinstance: `//` floors a Fraction, and bool stays out
     exact = all(type(x) is int for row in matrix for x in row)
     rows = []
@@ -229,19 +230,14 @@ def schur_at_point(lam, point, n=1):
     coordinates)^lam_N; a zero coordinate is a pole only when lam_N < 0.
     e_(nj) = (-1)^((n+1)j) e_j and h_(nj) = h_j of the x^n, the other e_k
     and h_k are 0, and the product is (-1)^((n-1)m) prod x^n.  Ints x^n
-    give an int (a Fraction when lam_N < 0), others a `Cyclotomic`."""
+    give an int (a Fraction when lam_N < 0); other x^n enter as they are,
+    and `Cyclotomic` lifts their orders where two meet."""
     lam = tuple(lam)
     check_dominant(lam)
     coords = [x if n == 1 else x ** n for x in point]
     size = len(lam)
     if len(coords) * n != size:
         raise ValueError("point arity mismatch")
-    one, zero = 1, 0
-    if any(type(x) is not int for x in coords):
-        # lift every coordinate once, so the e_k / h_k updates meet one order
-        order = lcm(*(as_cyclotomic(x).order for x in coords))
-        coords = [as_cyclotomic(x).embed(order) for x in coords]
-        one, zero = Cyclotomic.rational(1, order), Cyclotomic.rational(0, order)
     base = lam[-1] if lam else 0
     if base < 0 and any(not c for c in coords):
         raise ValueError("pole at evaluation point")
@@ -255,7 +251,7 @@ def schur_at_point(lam, point, n=1):
         top = min(top, size)
     else:
         rows = kappa
-    seq = [one] + [zero] * (top // n)
+    seq = [1] + [0] * (top // n)
     for i, x in enumerate(coords, 1):
         # one coordinate at a time, seq_k <- seq_k + x * seq_(k-1): with k
         # descending this multiplies by 1 + x z (e_k), ascending by
@@ -264,9 +260,9 @@ def schur_at_point(lam, point, n=1):
             seq[k] = seq[k] + x * seq[k - 1]
     if elementary and n % 2 == 0:
         seq[1::2] = [-e for e in seq[1::2]]
-    value = det_fraction_free([[seq[d // n] if 0 <= d <= top and d % n == 0 else zero
+    value = det_fraction_free([[seq[d // n] if 0 <= d <= top and d % n == 0 else 0
                                 for d in range(r - i, r - i + len(rows))]
-                               for i, r in enumerate(rows)]) if rows else one
+                               for i, r in enumerate(rows)]) if rows else 1
     if base:
         total = reduce(mul, coords)
         total = -total if (n - 1) * len(coords) % 2 else total

@@ -22,7 +22,7 @@ from .perms import (DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge,
 from .characters import (schur_at_point, coxeter_value, multiply_out,
                          twisted_numerator, twisted_numerator_terms,
                          twisted_vandermonde_closed)
-from .weights import staircase
+from .weights import dominant_weights, staircase
 from .factorize import (DEFAULT_SEED, coset_audit, factored_value, factorize,
                         sample_points, vanishes_numerically, verify_numeric,
                         verify_terms)
@@ -234,18 +234,17 @@ def _sweep_one(packed):
 
 
 def cmd_sweep(args):
-    from .weights import dominant_weights
-
     if args.low > args.high:
         raise ValueError("--min must not exceed --max")
     lams = sorted(dominant_weights(args.m * args.n, args.low, args.high))
     packed = [(lam, args.m, args.n, args.samples, args.seed) for lam in lams]
     # a fork pool starts every worker at once, so never more than there
-    # are weights or CPUs
+    # are weights or CPUs; one weight costs less than a task's round trip,
+    # so each task carries a quarter of a worker's share, rounded up
     jobs = min(args.jobs, len(packed), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_one, packed))
+            rows = list(pool.map(_sweep_one, packed, chunksize=-(-len(packed) // (4 * jobs))))
     else:
         rows = [_sweep_one(p) for p in packed]
     summary = {

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from math import factorial, prod
 from operator import mul
 
-from .cyclotomic import Cyclotomic
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure, Perm,
                     check_enumeration_bound, is_column_row_product,
                     row_coset_reps, column_subgroup)
@@ -173,7 +172,8 @@ def verify_terms(cert, terms):
     """`verify_symbolic` given terms, the `twisted_numerator_terms` pair
     of cert.mu.  The factored side is the n tuples k + n(eta_k + rho) of
     exponents; terms whose tuples are exactly those pass with their
-    scalar, anything else is compared multiplied out.  Etas not n weights
+    scalar, anything else is compared multiplied out, the right-hand side
+    with the int 1, so the ratio divides only by ints.  Etas not n weights
     of length m, or with a zero alternant, match no scalar."""
     m, n = cert.m, cert.n
     if len(cert.etas) != n or any(len(eta) != m for eta in cert.etas):
@@ -183,8 +183,7 @@ def verify_terms(cert, terms):
     if terms and terms[0] == rhs:
         scalar = terms[1]
     else:
-        scalar = multiply_out(terms, m).scalar_ratio(
-            multiply_out((rhs, Cyclotomic.rational(1, n)), m))
+        scalar = multiply_out(terms, m).scalar_ratio(multiply_out((rhs, 1), m))
     ok = scalar is not None and scalar * cert.w0_sign == denominator_scalar(m, n) * cert.epsilon
     return ok, scalar
 

@@ -1,7 +1,8 @@
-"""Sparse multivariate Laurent polynomials with cyclotomic coefficients.
+"""Sparse multivariate Laurent polynomials with exact coefficients.
 
 Terms live in a dict mapping integer exponent tuples (negative exponents
-allowed) to nonzero Cyclotomic coefficients:
+allowed) to nonzero coefficients, Cyclotomic values from the constructor
+and `constant`, ints from `characters.multiply_out` with the int 1:
 
     {(2, -1): z, (0, 3): 2}   <->   (z) * t1^2 t2^-1  +  (2) * t2^3
 
@@ -49,20 +50,6 @@ class LaurentPoly:
     @classmethod
     def constant(cls, value, nvars):
         return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def one(cls, nvars):
-        return cls.constant(1, nvars)
-
-    @classmethod
-    def variable(cls, index, nvars):
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(nvars, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, exps, coeff=1):
-        return cls(len(exps), {tuple(exps): coeff})
 
     def _coerce(self, other):
         if isinstance(other, _SCALARS):
@@ -119,19 +106,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        result = LaurentPoly.one(self.nvars)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
-
     def scale(self, value):
         if not value:
             return LaurentPoly.zero(self.nvars)
@@ -155,7 +129,7 @@ class LaurentPoly:
         if not other.terms or set(self.terms) != set(other.terms):
             return None
         probe = next(iter(other.terms))
-        ratio = self.terms[probe] / other.terms[probe]
+        ratio = as_cyclotomic(self.terms[probe]) / other.terms[probe]
         for exps, value in other.terms.items():
             if self.terms[exps] != value * ratio:
                 return None

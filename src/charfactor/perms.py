@@ -3,8 +3,9 @@
 Positions 1..m*n are read as an n x m grid filled row by row: row k holds
 positions {m*k+1, ..., m*k+m} and column v holds {v, v+m, ..., v+(n-1)m}.
 The row subgroup permutes positions inside each row, the column subgroup
-inside each column.  Enumeration order is lexicographic on image vectors
-throughout, so logs are reproducible.
+inside each column.  Enumeration orders are fixed, so logs are reproducible.
+`row_subgroup` and `row_coset_reps` are lexicographic on image vectors;
+`column_subgroup` is not, so `CosetAuditReport.to_dict` sorts its constants.
 """
 
 from __future__ import annotations

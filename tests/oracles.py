@@ -5,11 +5,11 @@ expansion unfactored and factored, with its minors keyed by t-exponents
 and a power of zeta_n and multiplied out on those keys, the twisted
 Vandermonde multiplied out factor by factor, the symbolic identity with
 its right-hand side rebuilt through `alternant` and compared multiplied
-out, the substitution t_s -> t_s^k, evaluation of a Laurent polynomial
-at a point, all of S_N, the column-row products by explicit
-multiplication, the permutation that normalizes the residue blocks, and
-Littlewood's n-sign by ribbon removal.  None of them runs on a product
-path.
+out, a single variable t_s, the substitution t_s -> t_s^k, evaluation of
+a Laurent polynomial at a point, all of S_N, the column-row products by
+explicit multiplication, the permutation that normalizes the residue
+blocks, and Littlewood's n-sign by ribbon removal.  None of them runs on
+a product path.
 """
 
 import itertools
@@ -309,11 +309,16 @@ def twisted_vandermonde_product(m, n):
         exps = [0] * m
         exps[s] = 1
         coords.append(LaurentPoly(m, {tuple(exps): zeta(n, k)}))
-    out = LaurentPoly.one(m)
+    out = LaurentPoly.constant(1, m)
     for a in range(total):
         for b in range(a + 1, total):
             out = out * (coords[a] - coords[b])
     return out
+
+
+def variable(index, nvars):
+    """The Laurent polynomial t_(index+1) in nvars variables."""
+    return LaurentPoly(nvars, {tuple(int(i == index) for i in range(nvars)): 1})
 
 
 def power_substitute(poly, k):
@@ -329,7 +334,7 @@ def verify_numerator(cert, lhs):
     """`verify_symbolic` given lhs, the twisted numerator of cert.mu."""
     m, n = cert.m, cert.n
     rho = staircase(m)
-    rhs = LaurentPoly.monomial((n * (n - 1) // 2,) * m, 1)
+    rhs = LaurentPoly(m, {(n * (n - 1) // 2,) * m: 1})
     for eta in cert.etas:
         rhs = rhs * power_substitute(alternant(tuple(e + r for e, r in zip(eta, rho))), n)
     scalar = lhs.scalar_ratio(rhs)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from math import ceil
 
 import pytest
 
@@ -510,11 +511,12 @@ class TestSweepCommand:
         (("--m", "1", "--n", "2", "--min", "0", "--max", "1", "--jobs", "1000000"), 8, [3]),
         (("--m", "1", "--n", "2", "--min", "0", "--max", "2", "--jobs", "5"), None, []),
         (("--m", "1", "--n", "2", "--min", "0", "--max", "2", "--jobs", "2"), 8, [2]),
+        (("--m", "2", "--n", "2", "--min", "0", "--max", "4", "--jobs", "2"), 8, [2]),
     ])
     def test_pool_capped_at_weights_and_cpus(self, capsys, monkeypatch, argv, cpus, workers):
-        # a fake pool records its size and runs serially, so no worker
-        # process starts; one worker runs without a pool at all
-        started = []
+        # a fake pool records its size and chunk size and runs serially, so
+        # no worker process starts; one worker runs without a pool at all
+        started, chunks = [], []
 
         class FakePool:
             def __init__(self, max_workers):
@@ -526,7 +528,8 @@ class TestSweepCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, func, items):
+            def map(self, func, items, chunksize=1):
+                chunks.append(chunksize)
                 return map(func, items)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
@@ -535,6 +538,11 @@ class TestSweepCommand:
         assert code == 0
         assert json.loads(out)["summary"]["failed"] == 0
         assert started == workers
+        # a task carries a quarter of a worker's share, so a sweep of many
+        # weights (70 on 2 workers) sends more than one weight per task
+        total = json.loads(out)["summary"]["total"]
+        assert chunks == [ceil(total / (4 * w)) for w in workers]
+        assert total <= 4 * sum(workers) or all(c > 1 for c in chunks)
 
     def test_rows_sorted_by_weight(self, capsys):
         code, out = run_cli(capsys, "sweep", "--m", "1", "--n", "2",
