@@ -16,13 +16,13 @@ alternants, and zero when a block has two rows in one t-column.  A
 numerator is one pair (n tuples of exponents, scalar), so no key holds a
 power of zeta_n: `factorize.verify_terms` decides the symbolic identity
 on the tuples, and `multiply_out` expands each alternant over Z and
-multiplies them out in turn, once.  The twisted Vandermonde
-det(x_p^(rho_j)) = prod_(a<b) (x_a - x_b) is the numerator of the
-staircase, so it takes the same route.  The row-set expansion,
-unfactored and factored with its zeta-keyed minors, the brute-force
-(mn)! and row-subgroup sums, the identity multiplied out through
-`alternant`, and the Vandermonde multiplied out factor by factor are
-test oracles.
+multiplies them out in turn, once; `alternant` is one tuple with the int
+1.  The twisted Vandermonde det(x_p^(rho_j)) = prod_(a<b) (x_a - x_b) is
+the numerator of the staircase, so it takes the same route, its constant
+from n - 1 powers of the 1 - zeta_n^d.  The row-set expansion, factored
+or not, the brute-force and row-subgroup sums, the identity multiplied
+out through `alternant`, the Vandermonde factor by factor and its
+constant over all C(n,2) root differences are test oracles.
 
 Character values come from one route, Jacobi-Trudi: one determinant over
 the elementary or the complete symmetric functions of a concrete point,
@@ -137,20 +137,20 @@ def twisted_numerator(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
 
 def alternant(exponents):
     """det(t_s^(e_j)), the alternating sum over all arrangements of the
-    exponent vector, as a Laurent polynomial: the case n = 1 of the
-    twisted numerator, a single alternant, at any length."""
-    m = len(exponents)
-    return multiply_out(twisted_numerator_terms(exponents, m, 1, bound=m), m)
+    exponent vector, its values in the order given, as a Laurent
+    polynomial with int coefficients, at any length."""
+    return multiply_out(((tuple(exponents),), 1), len(exponents))
 
 
 @lru_cache(maxsize=None)
 def denominator_scalar(m, n):
     """The constant in the factored twisted Vandermonde:
-    (-1)^(C(m,2)*C(n,2)) * prod_(i<j) (zeta_n^i - zeta_n^j)^m."""
-    c = Cyclotomic.rational(1, n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = c * (zeta(n, i) - zeta(n, j))
+    (-1)^(C(m,2)*C(n,2)) * prod_(i<j) (zeta_n^i - zeta_n^j)^m.  As
+    zeta^i - zeta^j = zeta^i (1 - zeta^(j-i)), the product over i < j is
+    zeta^C(n,3) prod_(d<n) (1 - zeta^d)^(n-d), n - 1 powers."""
+    c = zeta(n, comb(n, 3))
+    for d in range(1, n):
+        c = c * (1 - zeta(n, d)) ** (n - d)
     c = c ** m
     if (m * (m - 1) // 2) * (n * (n - 1) // 2) % 2:
         c = -c

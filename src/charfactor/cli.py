@@ -24,8 +24,7 @@ from .characters import (schur_at_point, coxeter_value, multiply_out,
                          twisted_vandermonde_closed)
 from .weights import dominant_weights, staircase
 from .factorize import (DEFAULT_SEED, coset_audit, factored_value, factorize,
-                        sample_points, vanishes_numerically, verify_numeric,
-                        verify_terms)
+                        sample_points, verify_numeric, verify_terms)
 
 EXIT_PASS = 0
 EXIT_INPUT = 1
@@ -83,8 +82,7 @@ def cmd_verify(args):
     cert = factorize(lam, args.m, args.n)
     check_enumeration_bound(args.m * args.n, bound)
     if not cert.balanced:
-        ok = vanishes_numerically(lam, args.m, args.n,
-                                  samples=args.samples, seed=args.seed)
+        ok = verify_numeric(cert, samples=args.samples, seed=args.seed)
         if args.emit == "poly":
             # an unbalanced weight's twisted numerator is zero
             _write(args, f"numerator: 0\nvanishing: {'pass' if ok else 'fail'}")
@@ -224,13 +222,8 @@ def cmd_bench(args):
 def _sweep_one(packed):
     lam, m, n, samples, seed = packed
     cert = factorize(lam, m, n)
-    if cert.balanced:
-        ok = verify_numeric(cert, samples=samples, seed=seed)
-        return {"lambda": list(lam), "balanced": True,
-                "epsilon": cert.epsilon, "check_passed": ok}
-    ok = vanishes_numerically(lam, m, n, samples=samples, seed=seed)
-    return {"lambda": list(lam), "balanced": False,
-            "epsilon": None, "check_passed": ok}
+    return {"lambda": list(lam), "balanced": cert.balanced, "epsilon": cert.epsilon,
+            "check_passed": verify_numeric(cert, samples=samples, seed=seed)}
 
 
 def cmd_sweep(args):

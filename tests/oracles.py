@@ -3,9 +3,10 @@ polynomial, the alternant-ratio character value, the literal twisted
 point t.c_n that `schur_at_point(lam, t, n)` stands for, the row-set
 expansion unfactored and factored, with its minors keyed by t-exponents
 and a power of zeta_n and multiplied out on those keys, the twisted
-Vandermonde multiplied out factor by factor, the symbolic identity with
-its right-hand side rebuilt through `alternant` and compared multiplied
-out, a single variable t_s, the substitution t_s -> t_s^k, evaluation of
+Vandermonde multiplied out factor by factor, its constant over all
+C(n,2) root differences, the symbolic identity with its right-hand side
+rebuilt through `alternant` and compared multiplied out, a single
+variable t_s, the substitution t_s -> t_s^k, evaluation of
 a Laurent polynomial at a point, all of S_N, the column-row products by
 explicit multiplication, the permutation that normalizes the residue
 blocks, and Littlewood's n-sign by ribbon removal.  None of them runs on
@@ -316,6 +317,17 @@ def twisted_vandermonde_product(m, n):
     return out
 
 
+def denominator_by_pairs(m, n):
+    """`denominator_scalar(m, n)` with its C(n,2) root differences
+    multiplied out one by one: (-1)^(C(m,2)*C(n,2)) times the m-th power
+    of prod_(i<j) (zeta_n^i - zeta_n^j)."""
+    c = Cyclotomic.rational(1, n)
+    for i, j in itertools.combinations(range(n), 2):
+        c = c * (zeta(n, i) - zeta(n, j))
+    c = c ** m
+    return -c if (m * (m - 1) // 2) * (n * (n - 1) // 2) % 2 else c
+
+
 def variable(index, nvars):
     """The Laurent polynomial t_(index+1) in nvars variables."""
     return LaurentPoly(nvars, {tuple(int(i == index) for i in range(nvars)): 1})
@@ -331,7 +343,10 @@ def power_substitute(poly, k):
 
 
 def verify_numerator(cert, lhs):
-    """`verify_symbolic` given lhs, the twisted numerator of cert.mu."""
+    """`verify_symbolic` given lhs, the twisted numerator of cert.mu: the
+    right-hand side is the product of the block alternants, each expanded
+    by `alternant` alone (one `multiply_out`, never the twisted numerator's
+    residue sort), in t^n, times (t_1..t_m)^(n(n-1)/2)."""
     m, n = cert.m, cert.n
     rho = staircase(m)
     rhs = LaurentPoly(m, {(n * (n - 1) // 2,) * m: 1})

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,15 @@ from charfactor.cyclotomic import Cyclotomic, as_cyclotomic, field_degree, zeta
 from charfactor.laurent import LaurentPoly
 from charfactor.perms import EnumerationTooLarge, Perm, permutation_parity, row_coset_reps
 from charfactor.characters import (alternant, coset_block_sum, coxeter_value,
-                                   det_fraction_free, multiply_out, schur_at_point,
+                                   denominator_scalar, det_fraction_free,
+                                   multiply_out, schur_at_point,
                                    twisted_numerator, twisted_numerator_terms,
                                    twisted_vandermonde_closed)
 from charfactor.factorize import random_regular_point
 from charfactor.weights import (check_dominant, dominant_weights, is_residue_balanced,
                                 normalize_residue_blocks, staircase)
-from oracles import (alternant_at_point, canonical_pair, evaluate, multiply_out_forms,
+from oracles import (alternant_at_point, canonical_pair, denominator_by_pairs,
+                     evaluate, multiply_out_forms,
                      numerator_by_row_sets, power_substitute, residue_permutation,
                      schur_polynomial, schur_ratio_at_point, symmetric_group,
                      terms_by_row_sets, twisted_point, twisted_vandermonde_product,
@@ -282,6 +285,21 @@ class TestAlternant:
     def test_repeated_exponents_vanish(self):
         assert not alternant((2, 2))
 
+    def test_matches_the_twisted_numerator_at_n_one(self):
+        # the former route, a twisted numerator at n = 1, gives the same
+        # value and text; alternant keeps int coefficients
+        rng = random.Random(24)
+        vectors = [(3, -1, 3), (-2, -2), (0, -4, 5, -4), (-1,), (2, 0, -3, 1, -5)]
+        vectors += [tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 5)))
+                    for _ in range(200)]
+        for e in vectors:
+            new = alternant(e)
+            old = twisted_numerator(e, len(e), 1, bound=len(e))
+            assert new == old and str(new) == str(old), e
+            assert all(type(c) is int for c in new.terms.values()), e
+        assert any(len(set(e)) < len(e) for e in vectors)
+        assert any(alternant(e) for e in vectors if min(e) < 0)
+
 
 class TestTwistedVandermonde:
     def test_direct_one_two(self):
@@ -295,12 +313,22 @@ class TestTwistedVandermonde:
 
     def test_closed_one_n(self):
         for n in (2, 3, 4):
-            scalar = Cyclotomic.rational(1, n)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    scalar = scalar * (zeta(n, i) - zeta(n, j))
-            expected = LaurentPoly(1, {(n * (n - 1) // 2,): scalar})
+            expected = LaurentPoly(1, {(n * (n - 1) // 2,): denominator_by_pairs(1, n)})
             assert twisted_vandermonde_closed(1, n) == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_denominator_scalar_matches_the_pair_product(self, m):
+        for n in range(1, 25):
+            assert denominator_scalar(m, n) == denominator_by_pairs(m, n), (m, n)
+
+    def test_denominator_scalar_budget(self):
+        # n - 1 powers of the 1 - zeta^d take about 0.2 s at n = 160 on a
+        # 2-vCPU VM; the C(n,2) root differences one by one take about 3 s
+        denominator_scalar.cache_clear()
+        start = time.perf_counter()
+        denominator_scalar(1, 160)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1, f"{elapsed:.2f}s"
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
     def test_direct_equals_closed(self, m, n):
@@ -426,6 +454,12 @@ class TestSchur:
             schur_at_point((0, -1), [1, 0])
         # lam_N = 0 puts no power of the coordinates in a denominator
         assert schur_at_point((1, 0), [1, 0]) == 1
+
+    def test_point_arity_mismatch(self):
+        # N = 4 takes 4 coordinates, or 2 at n = 2
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="point arity mismatch"):
+                schur_at_point((1, 0, 0, 0), [2, 3, 5], n)
 
     def test_matches_alternant_ratio_at_twisted_points(self):
         rng = random.Random(4096)
@@ -586,6 +620,11 @@ class TestDeterminant:
         # an empty matrix is all-int, so it stays on ints
         value = det_fraction_free([])
         assert type(value) is int and value == 1
+
+    def test_non_square_rejected(self):
+        for matrix in ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[Fraction(1, 2)], [1]]):
+            with pytest.raises(ValueError, match="matrix must be square"):
+                det_fraction_free(matrix)
 
     def test_pivoting(self):
         assert det_fraction_free([[0, 1], [1, 0]]) == -1

@@ -272,7 +272,8 @@ class TestVerifyCommand:
             raise AssertionError("sampled past the bound")
 
         monkeypatch.delenv("CHARFACTOR_BOUND", raising=False)
-        monkeypatch.setattr(cli, "vanishes_numerically", refuse)
+        monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
+                            "vanishes_numerically", refuse)
         code = main(["verify", "--m", "2", "--n", "5", "--lambda=1,0,0,0,0,0,0,0,0,0",
                      "--emit", emit])
         captured = capsys.readouterr()
@@ -298,6 +299,13 @@ class TestVerifyCommand:
         code, _ = run_cli(capsys, "verify", "--m", "2", "--n", "3",
                           "--lambda", "0,0,0,0,0,0")
         assert code == 2
+
+    def test_non_integer_env_bound(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHARFACTOR_BOUND", "abc")
+        code = main(["verify", "--m", "2", "--n", "2", "--lambda", "1,1,0,0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: CHARFACTOR_BOUND is not an integer: 'abc'\n"
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CHARFACTOR_BOUND", "4")
@@ -448,6 +456,10 @@ class TestBenchCommand:
         code, _ = run_cli(capsys, "bench", "--m", "2", "--n", "2",
                           "--lambda", "1,0,0,0")
         assert code == 3
+
+    def test_run_benchmark_rejects_an_unbalanced_weight(self):
+        with pytest.raises(ValueError, match="benchmark needs a balanced weight"):
+            run_benchmark(2, 2, (1, 0, 0, 0))
 
     def test_run_benchmark_checks(self):
         rows, ok = run_benchmark(2, 2, (2, 1, 1, 0), samples=2)

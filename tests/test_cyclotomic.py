@@ -114,6 +114,10 @@ class TestFieldOperations:
         with pytest.raises(ZeroDivisionError, match="division by zero in cyclotomic field"):
             Cyclotomic.rational(0, 3).inverse()
 
+    def test_wrong_coordinate_count_rejected(self):
+        with pytest.raises(ValueError, match="order 5 needs 4 coordinates, got 5"):
+            Cyclotomic(5, [1, 0, 0, 0, 0])
+
     def test_division(self):
         a = zeta(8) + 2
         assert (a * a) / a == a

@@ -79,6 +79,11 @@ class TestFactorize:
         with pytest.raises(ValueError, match="length"):
             factorize((1, 0, 0), 2, 2)
 
+    @pytest.mark.parametrize("m,n", [(0, 2), (2, 0), (-1, 2)])
+    def test_nonpositive_shape_rejected(self, m, n):
+        with pytest.raises(ValueError, match="m and n must be positive"):
+            factorize((0, 0), m, n)
+
     def test_balanced_field_matches_balance_test(self):
         for lam in dominant_weights(4, 0, 2):
             cert = factorize(lam, 2, 2)
@@ -206,10 +211,17 @@ class TestVerifyNumeric:
         bad = dataclasses.replace(cert, epsilon=-cert.epsilon)
         assert not verify_numeric(bad, samples=2)
 
-    def test_vanishing_certificate_rejected(self):
+    def test_vanishing_certificate_gets_the_vanishing_verdict(self):
+        # a vanishing certificate is checked for zeros at the same points
         cert = factorize((1, 0, 0, 0), 2, 2)
-        with pytest.raises(ValueError):
-            verify_numeric(cert)
+        assert not cert.balanced
+        assert verify_numeric(cert, samples=3) is True
+        for seed in range(4):
+            assert verify_numeric(cert, samples=2, seed=seed) is \
+                vanishes_numerically(cert.lam, 2, 2, samples=2, seed=seed)
+        # a balanced weight wrapped as vanishing is nonzero at the samples
+        forged = FactorizationCertificate(m=2, n=2, lam=(1, 1, 0, 0), balanced=False)
+        assert verify_numeric(forged, samples=3) is False
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_rejected(self, samples):
@@ -229,6 +241,11 @@ class TestVerifySymbolic:
         ok, scalar = verify_symbolic(cert)
         assert ok
         assert scalar == 4
+
+    def test_vanishing_certificate_rejected(self):
+        # an unbalanced weight has no numerator pair to compare
+        with pytest.raises(ValueError, match="vanishing certificate"):
+            verify_symbolic(factorize((1, 0, 0, 0), 2, 2))
 
     def test_exterior_square_two_two(self):
         cert = factorize((1, 1, 0, 0), 2, 2)
@@ -373,11 +390,13 @@ class TestSamplePoints:
             run_benchmark(2, 2, (1, 1, 0, 0), samples=samples)
 
     def test_verify_numeric_checks_samples_before_the_certificate(self):
+        # the count raises for either kind of certificate; past it, a
+        # vanishing certificate gets a verdict, not an error
         vanishing = factorize((1, 0, 0, 0), 2, 2)
-        with pytest.raises(ValueError, match="samples must be at least 1"):
-            verify_numeric(vanishing, samples=0)
-        with pytest.raises(ValueError, match="vanishing certificate"):
-            verify_numeric(vanishing, samples=1)
+        for cert in (vanishing, factorize((1, 1, 0, 0), 2, 2)):
+            with pytest.raises(ValueError, match="samples must be at least 1"):
+                verify_numeric(cert, samples=0)
+        assert verify_numeric(vanishing, samples=1) is True
 
 
 def coset_sum_by_row_subgroup(mu, m, n, rep):
@@ -404,6 +423,10 @@ class TestCosetBlockSum:
                 tuple((x - k) // 2 for x in block)), 2)
         scalar = total.scalar_ratio(product)
         assert scalar is not None and scalar != 0
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"mu length must be m\*n"):
+            coset_block_sum((3, 1, 2), 2, 2, Perm.identity(4))
 
     def test_outside_cosets_vanish(self):
         mu, _ = normalize_residue_blocks(staircase(4), 2, 2)

@@ -37,6 +37,10 @@ class TestRingOperations:
         with pytest.raises(ValueError, match="variable count mismatch"):
             t(0, 2) + t(0, 3)
 
+    def test_exponent_tuple_length_mismatch(self):
+        with pytest.raises(ValueError, match=r"exponent tuple \(1,\) does not have 2 entries"):
+            LaurentPoly(2, {(1,): 1})
+
     def test_mixed_order_coefficients_lift(self):
         p = LaurentPoly(1, {(1,): zeta(2)})
         q = LaurentPoly(1, {(1,): zeta(3)})

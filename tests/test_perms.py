@@ -31,6 +31,10 @@ class TestPerm:
     def test_act_transposition(self):
         assert Perm.transposition(4, 1, 2).act((4, 3, 1, 0)) == (3, 4, 1, 0)
 
+    def test_act_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            Perm.identity(3).act((1, 2))
+
     def test_inverse(self):
         p = Perm((3, 1, 4, 2))
         assert p * p.inverse() == Perm.identity(4)

@@ -89,6 +89,10 @@ class TestNormalize:
         with pytest.raises(ValueError, match="residue condition fails"):
             normalize_residue_blocks((4, 2, 1, 0), 2, 2)
 
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match=r"vector length must be m\*n"):
+            normalize_residue_blocks((4, 2, 1), 2, 2)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.data())
     def test_permutation_realizes_normal_form(self, m, n, data):
@@ -120,6 +124,11 @@ class TestFactorWeights:
 
     def test_staircase_blocks(self):
         assert factor_weights((2, 0, 3, 1), 2, 2) == ((0, 0), (0, 0))
+
+    def test_rejects_a_block_outside_its_class(self):
+        # at n = 2, block 0 takes the even entries and block 1 the odd ones
+        with pytest.raises(ValueError, match="residue condition fails"):
+            factor_weights((4, 1, 3, 0), 2, 2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.data())
