@@ -51,12 +51,15 @@ def _resolve_bound(args):
     if args.bound is not None:
         return args.bound
     env = os.environ.get("CHARFACTOR_BOUND")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"CHARFACTOR_BOUND is not an integer: {env!r}")
-    return DEFAULT_ENUMERATION_BOUND
+    if not env:
+        return DEFAULT_ENUMERATION_BOUND
+    try:
+        bound = int(env)
+    except ValueError:
+        raise ValueError(f"CHARFACTOR_BOUND is not an integer: {env!r}")
+    if bound < 1:
+        raise ValueError(f"CHARFACTOR_BOUND must be at least 1: {env!r}")
+    return bound
 
 
 def _write(args, text):
@@ -161,12 +164,13 @@ def cmd_coxeter(args):
     return EXIT_PASS
 
 
-def run_benchmark(m, n, lam, samples=3, seed=DEFAULT_SEED):
+def run_benchmark(cert, samples=3, seed=DEFAULT_SEED):
     """Time direct evaluation (`schur_at_point` at t.c_n) against factored
-    evaluation on shared t; returns (csv rows, all results identical)."""
-    cert = factorize(lam, m, n)
+    evaluation of a balanced certificate from `factorize` on shared t;
+    returns (csv rows, all results identical)."""
     if not cert.balanced:
         raise ValueError("benchmark needs a balanced weight")
+    m, n = cert.m, cert.n
     points = list(sample_points(m, samples, seed))
     direct_ns = []
     factored_ns = []
@@ -180,7 +184,7 @@ def run_benchmark(m, n, lam, samples=3, seed=DEFAULT_SEED):
         factored_ns.append(time.perf_counter_ns() - start)
         if direct == factored:
             checks += 1
-    lam_text = " ".join(str(x) for x in lam)
+    lam_text = " ".join(str(x) for x in cert.lam)
     rows = [
         {"m": m, "n": n, "lambda": lam_text, "method": "direct",
          "wall_ns_mean": int(mean(direct_ns)), "wall_ns_min": min(direct_ns),
@@ -192,30 +196,25 @@ def run_benchmark(m, n, lam, samples=3, seed=DEFAULT_SEED):
     return rows, checks == len(points)
 
 
-BENCH_FIELDS = ["m", "n", "lambda", "method",
-                "wall_ns_mean", "wall_ns_min", "checks_passed"]
-
-
-def _rows_to_csv(rows, fields):
+def _rows_to_csv(rows):
+    # the columns are the keys of the first row, in order; rows is never empty
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fields)
+    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
     writer.writeheader()
     writer.writerows(rows)
     return buffer.getvalue()
 
 
 def cmd_bench(args):
-    lam = _parse_weight(args.lam)
-    cert = factorize(lam, args.m, args.n)
+    cert = factorize(_parse_weight(args.lam), args.m, args.n)
     if not cert.balanced:
         _write(args, json.dumps(cert.to_dict(), indent=2))
         return EXIT_VANISHING
-    rows, ok = run_benchmark(args.m, args.n, lam, samples=args.samples,
-                             seed=args.seed)
+    rows, ok = run_benchmark(cert, samples=args.samples, seed=args.seed)
     if args.emit == "json":
         _write(args, json.dumps(rows, indent=2))
     else:
-        _write(args, _rows_to_csv(rows, BENCH_FIELDS))
+        _write(args, _rows_to_csv(rows))
     return EXIT_PASS if ok else EXIT_INPUT
 
 
@@ -247,10 +246,9 @@ def cmd_sweep(args):
         "failed": sum(not r["check_passed"] for r in rows),
     }
     if args.emit == "csv":
-        fields = ["lambda", "balanced", "epsilon", "check_passed"]
         flat = [dict(r, **{"lambda": " ".join(str(x) for x in r["lambda"])})
                 for r in rows]
-        _write(args, _rows_to_csv(flat, fields))
+        _write(args, _rows_to_csv(flat))
     else:
         _write(args, json.dumps({"summary": summary, "rows": rows}, indent=2))
     return EXIT_PASS if summary["failed"] == 0 else EXIT_INPUT
@@ -316,8 +314,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
-        # a count below 1 checks nothing, or for --m, --n and --jobs means nothing
-        for flag in ("m", "n", "samples", "jobs", "outside_sample"):
+        # a count below 1 checks nothing, or for --m, --n, --jobs and --bound means nothing
+        for flag in ("m", "n", "samples", "jobs", "outside_sample", "bound"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")

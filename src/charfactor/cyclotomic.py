@@ -307,12 +307,8 @@ class Cyclotomic:
         a, b = pair
         return a.den == b.den and a.num == b.num
 
-    @property
-    def is_rational(self):
-        return not any(self.num[1:])
-
     def as_fraction(self):
-        if not self.is_rational:
+        if any(self.num[1:]):
             raise ValueError(f"not a rational value: {self}")
         return Fraction(self.num[0], self.den)
 
@@ -347,10 +343,10 @@ def zeta(order, power=1):
     return Cyclotomic(order, _zeta_power_rows(order)[power % order], _den=1)
 
 
-def as_cyclotomic(value, order=1):
+def as_cyclotomic(value):
     """Coerce an int, Fraction, or Cyclotomic into a Cyclotomic value."""
     if isinstance(value, Cyclotomic):
         return value
     if isinstance(value, (int, Fraction)):
-        return Cyclotomic.rational(value, order)
+        return Cyclotomic.rational(value)
     raise TypeError(f"cannot interpret {value!r} as a cyclotomic number")

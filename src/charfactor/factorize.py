@@ -32,21 +32,24 @@ DEFAULT_SEED = 1729
 class FactorizationCertificate:
     """Outcome of `factorize`.
 
-    When balanced is False the character is identically zero at every
-    twisted point and the remaining fields stay None.  Otherwise mu is the
-    residue-normalized shifted weight, w0_sign the sign of the normalizing
-    rearrangement, etas the n factor weights of rank m, and epsilon the
-    global sign of the factorization.
+    balanced is whether mu is present.  When it is not, the character is
+    identically zero at every twisted point and the other fields are None.
+    Otherwise mu is the residue-normalized shifted weight, w0_sign the sign
+    of the normalizing rearrangement, etas the n factor weights of rank m,
+    and epsilon the global sign of the factorization.
     """
 
     m: int
     n: int
     lam: tuple
-    balanced: bool
     mu: tuple | None = None
     w0_sign: int | None = None
     etas: tuple | None = None
     epsilon: int | None = None
+
+    @property
+    def balanced(self):
+        return self.mu is not None
 
     def to_dict(self):
         return {
@@ -60,39 +63,28 @@ class FactorizationCertificate:
             "epsilon": self.epsilon,
         }
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            m=int(data["m"]),
-            n=int(data["n"]),
-            lam=tuple(data["lambda"]),
-            balanced=bool(data["balanced"]),
-            mu=tuple(data["mu"]) if data.get("mu") is not None else None,
-            w0_sign=data.get("w0_sign"),
-            etas=tuple(tuple(e) for e in data["etas"])
-            if data.get("etas") is not None else None,
-            epsilon=data.get("epsilon"),
-        )
+
+def _check_shape(lam, m, n):
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+    if len(lam) != m * n:
+        raise ValueError(f"weight length {len(lam)} does not match m*n = {m * n}")
 
 
 def factorize(lam, m, n):
     """Produce the factorization certificate for a dominant weight of
     length m*n; a vanishing certificate when the residue balance fails."""
     lam = tuple(lam)
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    if len(lam) != m * n:
-        raise ValueError(f"weight length {len(lam)} does not match m*n = {m * n}")
+    _check_shape(lam, m, n)
     shifted = shifted_weight(lam)
     if not is_residue_balanced(shifted, m, n):
-        return FactorizationCertificate(m=m, n=n, lam=lam, balanced=False)
+        return FactorizationCertificate(m=m, n=n, lam=lam)
     mu, w0_sign = normalize_residue_blocks(shifted, m, n)
     etas = factor_weights(mu, m, n)
     # mu and the normalized staircase share one row-block scalar at t.c_n (Littlewood's n-core sign)
     epsilon = w0_sign * normalize_residue_blocks(staircase(m * n), m, n)[1]
-    return FactorizationCertificate(m=m, n=n, lam=lam, balanced=True,
-                                    mu=mu, w0_sign=w0_sign, etas=etas,
-                                    epsilon=epsilon)
+    return FactorizationCertificate(m=m, n=n, lam=lam, mu=mu, w0_sign=w0_sign,
+                                    etas=etas, epsilon=epsilon)
 
 
 def sign_via_coxeter(lam, etas):
@@ -197,16 +189,23 @@ def vanishes_numerically(lam, m, n, samples=5, seed=DEFAULT_SEED):
 
 @dataclass
 class CosetAuditReport:
-    """Findings of `coset_audit`; empty failures means everything passed."""
+    """Findings of `coset_audit`; empty failures means everything passed.
+    tested_inside and invariance_checked are read from omega_powers."""
 
     m: int
     n: int
     lam: tuple
     tested_outside: int
-    tested_inside: int
     omega_powers: dict
-    invariance_checked: bool
     failures: list
+
+    @property
+    def tested_inside(self):
+        return len(self.omega_powers)
+
+    @property
+    def invariance_checked(self):
+        return bool(self.omega_powers)
 
     @property
     def passed(self):
@@ -269,9 +268,10 @@ def coset_audit(lam, m, n, outside_sample=None,
     residue class leaves that power alone, so the constant is row-invariant.
     m*n above bound raises EnumerationTooLarge before any coset is summed.
     """
+    lam = tuple(lam)
+    _check_shape(lam, m, n)
     if outside_sample is not None and outside_sample < 1:
         raise ValueError("outside_sample must be at least 1; zero cosets cannot pass")
-    lam = tuple(lam)
     mu, _ = normalize_residue_blocks(shifted_weight(lam), m, n)
     check_enumeration_bound(m * n, bound)
     if any((v - mu[p - p % m]) % n for p, v in enumerate(mu)):
@@ -299,9 +299,5 @@ def coset_audit(lam, m, n, outside_sample=None,
         rows = [(q - 1) // m for q in eta.images]
         omega_powers[eta] = (sum(map(mul, rows, mu)) - base) % n
 
-    return CosetAuditReport(m=m, n=n, lam=lam,
-                            tested_outside=len(outside),
-                            tested_inside=len(omega_powers),
-                            omega_powers=omega_powers,
-                            invariance_checked=bool(omega_powers),
-                            failures=failures)
+    return CosetAuditReport(m=m, n=n, lam=lam, tested_outside=len(outside),
+                            omega_powers=omega_powers, failures=failures)

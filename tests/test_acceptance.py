@@ -218,7 +218,7 @@ def test_criterion_8_bench_gate():
     ok = True
     lines = []
     for m, n, lam in ((2, 3, (1, 1, 1, 0, 0, 0)), (2, 4, (1,) * 4 + (0,) * 4)):
-        rows, agreed = run_benchmark(m, n, lam, samples=3)
+        rows, agreed = run_benchmark(factorize(lam, m, n), samples=3)
         ok = ok and agreed
         for row in rows:
             lines.append(

@@ -71,7 +71,12 @@ class TestFactorCommand:
         code, out = run_cli(capsys, "factor", "--m", "2", "--n", "2",
                             "--lambda", "2,1,1,0")
         assert code == 0
-        cert = FactorizationCertificate.from_dict(json.loads(out))
+        data = json.loads(out)
+        cert = FactorizationCertificate(
+            m=data["m"], n=data["n"], lam=tuple(data["lambda"]), mu=tuple(data["mu"]),
+            w0_sign=data["w0_sign"], etas=tuple(map(tuple, data["etas"])),
+            epsilon=data["epsilon"])
+        assert cert == factorize((2, 1, 1, 0), 2, 2)
         assert verify_numeric(cert, samples=3)
 
     def test_output_file(self, capsys, tmp_path):
@@ -174,6 +179,9 @@ class TestCountValidation:
         ("coset-audit", "--lambda", "0,0", "--n", "-2", "--m", "-1"),
         ("factor", "--m", "2", "--lambda", "0,0", "--n", "0"),
         ("sweep", "--n", "2", "--min", "0", "--max", "1", "--m", "0"),
+        ("verify", "--m", "2", "--n", "2", "--lambda", "1,0,0,0", "--bound", "-1"),
+        ("coset-audit", "--m", "2", "--n", "2", "--lambda", "2,1,1,0", "--bound", "0"),
+        ("denom-check", "--m", "2", "--n", "2", "--bound", "0"),
     ])
     def test_counts_below_one_rejected(self, capsys, monkeypatch, argv):
         def refuse(*args, **kwargs):
@@ -307,6 +315,26 @@ class TestVerifyCommand:
         assert (code, captured.out) == (1, "")
         assert captured.err == "error: CHARFACTOR_BOUND is not an integer: 'abc'\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--m", "2", "--n", "2", "--lambda", "1,0,0,0"),
+        ("coset-audit", "--m", "2", "--n", "2", "--lambda", "2,1,1,0"),
+        ("denom-check", "--m", "2", "--n", "2"),
+    ])
+    def test_env_bound_below_one_rejected_before_any_work(self, capsys, monkeypatch, argv):
+        # a bound below 1 admits no instance; it is an input error, not
+        # "instance too large"
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the bound was checked")
+
+        monkeypatch.setattr(cli, "factorize", refuse)
+        monkeypatch.setattr(cli, "coset_audit", refuse)
+        monkeypatch.setattr(cli, "staircase", refuse)
+        monkeypatch.setenv("CHARFACTOR_BOUND", "0")
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: CHARFACTOR_BOUND must be at least 1: '0'\n"
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("CHARFACTOR_BOUND", "4")
         code, _ = run_cli(capsys, "verify", "--m", "2", "--n", "3",
@@ -415,14 +443,20 @@ class TestCosetAuditCommand:
         elapsed = time.perf_counter() - start
         assert elapsed < 2, f"pinned coset audits took {elapsed:.2f}s"
 
+    @pytest.mark.parametrize("command", ["factor", "verify", "coset-audit"])
+    def test_wrong_length_gets_the_factor_message(self, capsys, command):
+        code = main([command, "--m", "2", "--n", "2", "--lambda", "1,0,0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: weight length 3 does not match m*n = 4\n"
+
     def test_constants_template_matches_indented_json(self):
         # the constants are spliced into the rest of the report by text, so
         # failure messages that quote JSON must not be mistaken for them
         full = coset_audit((0,) * 10, 2, 5, outside_sample=5, bound=10)
         assert len(full.omega_powers) == 14400
         empty = CosetAuditReport(m=2, n=2, lam=(0, 0, 0, 0), tested_outside=0,
-                                 tested_inside=0, omega_powers={},
-                                 invariance_checked=False, failures=["column check"])
+                                 omega_powers={}, failures=["column check"])
         small = coset_audit((2, 1, 1, 0), 2, 2)
         failing = dataclasses.replace(small, failures=['"constants": [],\n  "x"', "\u00e9"])
         for report in (full, empty, small, failing):
@@ -459,10 +493,10 @@ class TestBenchCommand:
 
     def test_run_benchmark_rejects_an_unbalanced_weight(self):
         with pytest.raises(ValueError, match="benchmark needs a balanced weight"):
-            run_benchmark(2, 2, (1, 0, 0, 0))
+            run_benchmark(factorize((1, 0, 0, 0), 2, 2))
 
     def test_run_benchmark_checks(self):
-        rows, ok = run_benchmark(2, 2, (2, 1, 1, 0), samples=2)
+        rows, ok = run_benchmark(factorize((2, 1, 1, 0), 2, 2), samples=2)
         assert ok
         assert all(row["checks_passed"] == 2 for row in rows)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -94,7 +95,11 @@ class TestFactorize:
         vanishing = factorize((2, 1, 1, 0, 0, 0), 2, 3)
         assert balanced.balanced and not vanishing.balanced
         for cert in (balanced, vanishing):
-            assert FactorizationCertificate.from_dict(cert.to_dict()) == cert
+            data = cert.to_dict()
+            assert json.loads(json.dumps(data)) == data
+            nulls = [data[k] is None for k in ("mu", "w0_sign", "etas", "epsilon")]
+            assert data["balanced"] == cert.balanced == (cert.mu is not None)
+            assert nulls == [not cert.balanced] * 4
 
 
 class TestSignViaCoxeter:
@@ -220,7 +225,7 @@ class TestVerifyNumeric:
             assert verify_numeric(cert, samples=2, seed=seed) is \
                 vanishes_numerically(cert.lam, 2, 2, samples=2, seed=seed)
         # a balanced weight wrapped as vanishing is nonzero at the samples
-        forged = FactorizationCertificate(m=2, n=2, lam=(1, 1, 0, 0), balanced=False)
+        forged = FactorizationCertificate(m=2, n=2, lam=(1, 1, 0, 0))
         assert verify_numeric(forged, samples=3) is False
 
     @pytest.mark.parametrize("samples", [0, -3])
@@ -387,7 +392,7 @@ class TestSamplePoints:
         with pytest.raises(ValueError, match="samples must be at least 1"):
             sample_points(2, samples)
         with pytest.raises(ValueError, match="samples must be at least 1"):
-            run_benchmark(2, 2, (1, 1, 0, 0), samples=samples)
+            run_benchmark(factorize((1, 1, 0, 0), 2, 2), samples=samples)
 
     def test_verify_numeric_checks_samples_before_the_certificate(self):
         # the count raises for either kind of certificate; past it, a
@@ -649,6 +654,15 @@ class TestCosetAudit:
     def test_unbalanced_weight_rejected(self):
         with pytest.raises(ValueError, match="residue condition fails"):
             coset_audit((1, 0, 0, 0), 2, 2)
+
+    @pytest.mark.parametrize("lam,m,n,message", [
+        ((1, 0, 0), 2, 2, r"weight length 3 does not match m\*n = 4"),
+        ((0, 0), 0, 2, "m and n must be positive"),
+    ], ids=["length", "shape"])
+    def test_shape_rejected_as_in_factorize(self, lam, m, n, message):
+        for check in (factorize, coset_audit):
+            with pytest.raises(ValueError, match=message):
+                check(lam, m, n)
 
     @pytest.mark.parametrize("outside_sample", [0, -1])
     def test_outside_sample_below_one_rejected(self, outside_sample):
