@@ -78,11 +78,20 @@ def multiply_out(terms, m):
     return LaurentPoly._raw(m, {key: scalar * c for key, c in product.items() if c})
 
 
+@lru_cache(maxsize=256)
+def check_residue_blocks(mu, m, n):
+    """Raise ValueError when a row block of the tuple mu mixes residue
+    classes mod n.  A passing (mu, m, n) is cached, so each mu is checked
+    once; a raise is not, so a mixing mu raises on every call."""
+    if any((v - mu[p - p % m]) % n for p, v in enumerate(mu)):
+        raise ValueError("a block of mu mixes residue classes mod n")
+
+
 def coset_block_sum(mu, m, n, rep):
     """Signed sum of the block-specialized monomials of mu over the left
     coset of the row subgroup represented by rep, for mu whose blocks each
     lie in one residue class mod n; a block that mixes classes raises
-    ValueError, checked first on every call.  Row (k, s) of a block of
+    ValueError, checked once per mu.  Row (k, s) of a block of
     class r is zeta_n^(kr) t_s^v, so the sum is sgn(rep) times, for each
     block, the sign of its t-columns and zeta_n^(r * sum of its k), times
     the n alternants, multiplied out.  Two rows of a block in one t-column,
@@ -91,8 +100,7 @@ def coset_block_sum(mu, m, n, rep):
     is built."""
     if len(mu) != m * n:
         raise ValueError("mu length must be m*n")
-    if any((v - mu[p - p % m]) % n for p, v in enumerate(mu)):
-        raise ValueError("a block of mu mixes residue classes mod n")
+    check_residue_blocks(tuple(mu), m, n)
     if len({q // m * m + p % m for q, p in enumerate(rep.images)}) < m * n:
         return LaurentPoly.zero(m)
     residues = [v % n for v in mu]

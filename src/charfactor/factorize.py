@@ -19,9 +19,10 @@ from operator import mul
 
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure, Perm,
                     check_enumeration_bound, is_column_row_product,
-                    row_coset_reps, column_subgroup)
-from .characters import (coset_block_sum, coxeter_value, denominator_scalar,
-                         multiply_out, schur_at_point, twisted_numerator_terms)
+                    outside_coset_reps, column_subgroup)
+from .characters import (check_residue_blocks, coset_block_sum, coxeter_value,
+                         denominator_scalar, multiply_out, schur_at_point,
+                         twisted_numerator_terms)
 from .weights import (factor_weights, is_residue_balanced,
                       normalize_residue_blocks, shifted_weight, staircase)
 
@@ -253,15 +254,15 @@ def coset_audit(lam, m, n, outside_sample=None,
     to the zero polynomial, and (b) every column element rescales the base
     monomial by a power of zeta_n that is unchanged under the row action.
 
-    (a) walks the canonical representative of every row-subgroup coset
-    (`row_coset_reps`), keeps those that fail `is_column_row_product`, and
-    sums each through one `coset_block_sum` call; or, when outside_sample
-    is below the (mn)!/(m!)^n - (n!)^m outside cosets, it draws that many
+    (a) walks the canonical representatives of the outside cosets only
+    (`outside_coset_reps`, flagged once per row-block choice) and sums
+    each through one `coset_block_sum` call; or, when outside_sample is
+    below the (mn)!/(m!)^n - (n!)^m outside cosets, it draws that many
     distinct ones with a Random seeded by seed, without listing the rest.
     (b) checks two facts: each column element keeps every value in its
     column, and, once per audit, every row block of the residue-normalized
-    mu lies in one residue class mod n (a block that mixes classes raises
-    ValueError, as in `coset_block_sum`).  A column element that keeps
+    mu lies in one residue class mod n (`check_residue_blocks`, cached for
+    the `coset_block_sum` calls).  A column element that keeps
     columns moves no t-exponent, so it multiplies the base monomial by
     zeta_n to the power sum(rows * mu) - base, where rows[p] is the row
     block it carries position p to; and a row swap inside a block of one
@@ -274,17 +275,14 @@ def coset_audit(lam, m, n, outside_sample=None,
         raise ValueError("outside_sample must be at least 1; zero cosets cannot pass")
     mu, _ = normalize_residue_blocks(shifted_weight(lam), m, n)
     check_enumeration_bound(m * n, bound)
-    if any((v - mu[p - p % m]) % n for p, v in enumerate(mu)):
-        raise ValueError("a block of mu mixes residue classes mod n")
+    check_residue_blocks(mu, m, n)
     failures = []
 
     if outside_sample is not None and \
             outside_sample < factorial(m * n) // factorial(m) ** n - factorial(n) ** m:
         outside = _sample_outside_cosets(m, n, outside_sample, random.Random(seed))
     else:
-        blocks = BlockStructure(m, n)
-        outside = [rep for rep in row_coset_reps(m, n, bound=bound)
-                   if not is_column_row_product(rep, blocks)]
+        outside = list(outside_coset_reps(m, n, bound=bound))
     for rep in outside:
         if coset_block_sum(mu, m, n, rep):
             failures.append(f"nonzero block sum on the coset of {rep!r}")

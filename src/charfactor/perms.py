@@ -6,6 +6,8 @@ The row subgroup permutes positions inside each row, the column subgroup
 inside each column.  Enumeration orders are fixed, so logs are reproducible.
 `row_subgroup` and `row_coset_reps` are lexicographic on image vectors;
 `column_subgroup` is not, so `CosetAuditReport.to_dict` sorts its constants.
+`outside_coset_reps` keeps the cosets with no column-row representative,
+deciding that once per row-block choice of the same walk.
 """
 
 from __future__ import annotations
@@ -156,25 +158,37 @@ def is_column_row_product(perm, blocks):
     return len({q // m * m + p % m for q, p in enumerate(perm.images)}) == m * blocks.n
 
 
-def row_coset_reps(m, n, bound=DEFAULT_ENUMERATION_BOUND):
+def row_coset_reps(m, n, bound=DEFAULT_ENUMERATION_BOUND, *, outside=False):
     """One representative per left coset of the row subgroup in S_(m*n),
-    as a generator of `Perm` in lexicographic order.
+    as a generator of `Perm` in lexicographic order; with outside, only
+    the cosets with no column-row representative.
 
     A coset is determined by the image set of each row block; the canonical
     representative sorts each block's images ascending, which is the
     lexicographically least element of the coset.  Each block but the last
     chooses m of the images still free, in combinations order, and the last
-    block takes the m left over, with no generator level of its own.
+    block takes the m left over: the complement of the i-th m-subset is
+    the i-th from last of the other subsets.  A coset is outside once a
+    chosen block has two images in one column; the leftover block is never
+    tested, as n - 1 blocks with one image per column leave one per column.
     """
-    total = m * n
-    check_enumeration_bound(total, bound)
+    check_enumeration_bound(m * n, bound)
 
-    def assign(remaining, prefix):
-        for chosen in itertools.combinations(remaining, m):
-            rest = tuple(x for x in remaining if x not in chosen)
-            if len(rest) > m:
-                yield from assign(rest, prefix + chosen)
-            else:
-                yield prefix + chosen + rest
+    def assign(remaining, prefix, flagged):
+        size = len(remaining) - m
+        for chosen, rest in zip(itertools.combinations(remaining, m),
+                                reversed(list(itertools.combinations(remaining, size)))):
+            out = flagged or len({p % m for p in chosen}) < m
+            if size > m:
+                yield from assign(rest, prefix + chosen, out)
+            elif out or not outside:
+                yield Perm._unchecked(prefix + chosen + rest)
 
-    return (Perm._unchecked(flat) for flat in assign(tuple(range(1, total + 1)), ()))
+    return assign(tuple(range(1, m * n + 1)), (), False)
+
+
+def outside_coset_reps(m, n, bound=DEFAULT_ENUMERATION_BOUND):
+    """The representatives of `row_coset_reps` whose coset has no
+    column-row representative (fails `is_column_row_product`), in the same
+    order, from the same walk: (mn)!/(m!)^n - (n!)^m of them."""
+    return row_coset_reps(m, n, bound, outside=True)

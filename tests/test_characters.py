@@ -239,9 +239,20 @@ class TestFactoredExpansion:
 
     @pytest.mark.parametrize("mu", [(4, 1, 2, 0), (3, 1, 2, 5), (0, 1, 2, 3)])
     def test_block_mixing_residue_classes_rejected(self, mu):
+        # the check is remembered only for a mu that passes it, so a mixing
+        # mu raises on every call, also after a good mu of the same shape
         for rep in row_coset_reps(2, 2):
             with pytest.raises(ValueError, match="mixes residue classes"):
                 coset_block_sum(mu, 2, 2, rep)
+        coset_block_sum((3, 1, 2, 0), 2, 2, Perm((1, 2, 3, 4)))
+        with pytest.raises(ValueError, match="mixes residue classes"):
+            coset_block_sum(list(mu), 2, 2, Perm((1, 2, 3, 4)))
+
+    def test_list_mu_sums_as_its_tuple(self):
+        mu, _ = normalize_residue_blocks(staircase(6), 2, 3)
+        sums = [coset_block_sum(mu, 2, 3, rep) for rep in row_coset_reps(2, 3)]
+        assert any(sums)
+        assert [coset_block_sum(list(mu), 2, 3, rep) for rep in row_coset_reps(2, 3)] == sums
 
     def test_normal_form_builds_one_minor_per_block(self):
         # the pair holds the 3 residue classes of the staircase, decreasing,

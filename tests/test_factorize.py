@@ -572,11 +572,15 @@ class TestCosetAudit:
         summed = []
         monkeypatch.setattr(fz, "coset_block_sum",
                             lambda mu, m, n, rep: summed.append(rep) or LaurentPoly.zero(m))
-        with monkeypatch.context() as patch:
-            patch.setattr(fz, "normalize_residue_blocks", lambda v, m, n: (tuple(v), 1))
-            with pytest.raises(ValueError, match="mixes residue classes"):
-                coset_audit((0, 0, 0, 0, 0, 0), 2, 3)
-        assert summed == []
+        for _ in range(2):
+            with monkeypatch.context() as patch:
+                patch.setattr(fz, "normalize_residue_blocks", lambda v, m, n: (tuple(v), 1))
+                with pytest.raises(ValueError, match="mixes residue classes"):
+                    coset_audit((0, 0, 0, 0, 0, 0), 2, 3)
+            assert summed == []
+            # a passing audit of the same shape leaves the refusal in place
+            coset_audit((0, 0, 0, 0, 0, 0), 2, 3)
+            summed.clear()
         # a nonzero coset sum is one failure per outside coset
         monkeypatch.setattr(fz, "coset_block_sum", lambda mu, m, n, rep: LaurentPoly.constant(1, m))
         report = coset_audit((0, 0, 0, 0, 0, 0), 2, 3)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from charfactor.perms import (BlockStructure, EnumerationTooLarge, Perm,
                               column_subgroup, is_column_row_product,
-                              row_coset_reps, row_subgroup)
+                              outside_coset_reps, row_coset_reps, row_subgroup)
 from oracles import column_row_products, row_coset_reps_by_sorting, symmetric_group
 
 
@@ -173,9 +173,10 @@ class TestCosetReps:
         assert len(list(row_coset_reps(3, 2))) == 20
 
     @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3),
-                                     (3, 2), (2, 4)])
+                                     (3, 2), (2, 4), (4, 2), (1, 4), (4, 1)])
     def test_matches_sorted_blocks_of_every_permutation(self, m, n):
-        # same set and same order; at n = 1 the last block is the only one
+        # same set and same order, each leftover block read off the
+        # complement identity; at n = 1 the last block is the only one
         assert [rep.images for rep in row_coset_reps(m, n)] == \
             row_coset_reps_by_sorting(m, n)
 
@@ -204,3 +205,19 @@ class TestCosetReps:
     def test_bound(self):
         with pytest.raises(EnumerationTooLarge):
             list(row_coset_reps(5, 2))
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3),
+                                     (3, 2), (3, 3), (2, 4), (4, 2)])
+    def test_outside_reps_are_the_filtered_walk(self, m, n):
+        # the verdict carried down the walk, with the leftover block
+        # untested, against the one-coset-at-a-time criterion
+        blocks = BlockStructure(m, n)
+        outside = list(outside_coset_reps(m, n))
+        assert outside == [rep for rep in row_coset_reps(m, n)
+                           if not is_column_row_product(rep, blocks)]
+        assert len(outside) == math.factorial(m * n) // math.factorial(m) ** n \
+            - math.factorial(n) ** m
+
+    def test_outside_reps_check_the_bound_before_any_work(self):
+        with pytest.raises(EnumerationTooLarge):
+            outside_coset_reps(5, 2)
