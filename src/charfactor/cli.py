@@ -1,6 +1,10 @@
 """Command line frontend: certificates, identity checks, coset audits,
 batch sweeps, and a micro benchmark of direct versus factored evaluation.
 
+Each `cmd_*` returns (exit code, report); `main` alone writes the report,
+to --output or stdout: a str as it is, a list of rows under --emit csv as
+csv, anything else as json.dumps(report, indent=2), newline-terminated.
+
 Exit codes: 0 all checks pass, 1 input error or failed check, 2 instance
 too large for exact enumeration, 3 vanishing certificate (a valid answer).
 """
@@ -14,8 +18,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from statistics import mean
 
 from .perms import (DEFAULT_ENUMERATION_BOUND, EnumerationTooLarge,
                     check_enumeration_bound)
@@ -62,52 +64,33 @@ def _resolve_bound(args):
     return bound
 
 
-def _write(args, text):
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_factor(args):
-    lam = _parse_weight(args.lam)
-    cert = factorize(lam, args.m, args.n)
-    _write(args, json.dumps(cert.to_dict(), indent=2))
-    return EXIT_PASS if cert.balanced else EXIT_VANISHING
+    cert = factorize(_parse_weight(args.lam), args.m, args.n)
+    return EXIT_PASS if cert.balanced else EXIT_VANISHING, cert.to_dict()
 
 
 def cmd_verify(args):
-    lam = _parse_weight(args.lam)
     bound = _resolve_bound(args)
-    cert = factorize(lam, args.m, args.n)
+    cert = factorize(_parse_weight(args.lam), args.m, args.n)
     check_enumeration_bound(args.m * args.n, bound)
     if not cert.balanced:
         ok = verify_numeric(cert, samples=args.samples, seed=args.seed)
-        if args.emit == "poly":
-            # an unbalanced weight's twisted numerator is zero
-            _write(args, f"numerator: 0\nvanishing: {'pass' if ok else 'fail'}")
-        else:
-            report = {
-                "certificate": cert.to_dict(),
-                "checks": [{"check": "vanishing-at-samples",
-                            "samples": args.samples, "pass": ok}],
-            }
-            _write(args, json.dumps(report, indent=2))
-        return EXIT_VANISHING if ok else EXIT_INPUT
+        # an unbalanced weight's twisted numerator is zero
+        report = (f"numerator: 0\nvanishing: {'pass' if ok else 'fail'}" if args.emit == "poly"
+                  else {"certificate": cert.to_dict(),
+                        "checks": [{"check": "vanishing-at-samples",
+                                    "samples": args.samples, "pass": ok}]})
+        return EXIT_VANISHING if ok else EXIT_INPUT, report
     terms = twisted_numerator_terms(cert.mu, args.m, args.n, bound=bound)
     sym_ok, scalar = verify_terms(cert, terms)
     num_ok = verify_numeric(cert, samples=args.samples, seed=args.seed)
     if args.emit == "poly":
-        lines = [
+        report = "\n".join([
             f"numerator: {multiply_out(terms, args.m)}",
             f"scalar: {scalar}" if scalar is not None else "scalar: none",
             f"symbolic: {'pass' if sym_ok else 'fail'}",
             f"numeric: {'pass' if num_ok else 'fail'}",
-        ]
-        _write(args, "\n".join(lines))
+        ])
     else:
         report = {
             "certificate": cert.to_dict(),
@@ -117,8 +100,7 @@ def cmd_verify(args):
                 {"check": "numeric-samples", "samples": args.samples, "pass": num_ok},
             ],
         }
-        _write(args, json.dumps(report, indent=2))
-    return EXIT_PASS if sym_ok and num_ok else EXIT_INPUT
+    return EXIT_PASS if sym_ok and num_ok else EXIT_INPUT, report
 
 
 def cmd_denom_check(args):
@@ -130,11 +112,9 @@ def cmd_denom_check(args):
     direct = twisted_numerator(staircase(args.m * args.n), args.m, args.n, bound=bound)
     closed = twisted_vandermonde_closed(args.m, args.n)
     match = direct == closed
-    if args.emit == "poly":
-        _write(args, f"direct: {direct}\nclosed: {closed}\nmatch: {match}")
-    else:
-        _write(args, json.dumps({"m": args.m, "n": args.n, "match": match}, indent=2))
-    return EXIT_PASS if match else EXIT_INPUT
+    report = (f"direct: {direct}\nclosed: {closed}\nmatch: {match}" if args.emit == "poly"
+              else {"m": args.m, "n": args.n, "match": match})
+    return EXIT_PASS if match else EXIT_INPUT, report
 
 
 def audit_json(report):
@@ -149,19 +129,15 @@ def audit_json(report):
 
 
 def cmd_coset_audit(args):
-    lam = _parse_weight(args.lam)
-    report = coset_audit(lam, args.m, args.n,
+    report = coset_audit(_parse_weight(args.lam), args.m, args.n,
                          outside_sample=args.outside_sample,
                          seed=args.seed, bound=_resolve_bound(args))
-    _write(args, audit_json(report))
-    return EXIT_PASS if report.passed else EXIT_INPUT
+    return EXIT_PASS if report.passed else EXIT_INPUT, audit_json(report)
 
 
 def cmd_coxeter(args):
     lam = _parse_weight(args.lam)
-    payload = {"lambda": list(lam), "order": len(lam), "value": coxeter_value(lam)}
-    _write(args, json.dumps(payload, indent=2))
-    return EXIT_PASS
+    return EXIT_PASS, {"lambda": list(lam), "order": len(lam), "value": coxeter_value(lam)}
 
 
 def run_benchmark(cert, samples=3, seed=DEFAULT_SEED):
@@ -185,14 +161,10 @@ def run_benchmark(cert, samples=3, seed=DEFAULT_SEED):
         if direct == factored:
             checks += 1
     lam_text = " ".join(str(x) for x in cert.lam)
-    rows = [
-        {"m": m, "n": n, "lambda": lam_text, "method": "direct",
-         "wall_ns_mean": int(mean(direct_ns)), "wall_ns_min": min(direct_ns),
-         "checks_passed": checks},
-        {"m": m, "n": n, "lambda": lam_text, "method": "factored",
-         "wall_ns_mean": int(mean(factored_ns)), "wall_ns_min": min(factored_ns),
-         "checks_passed": checks},
-    ]
+    rows = [{"m": m, "n": n, "lambda": lam_text, "method": method,
+             "wall_ns_mean": sum(ns) // len(ns), "wall_ns_min": min(ns),
+             "checks_passed": checks}
+            for method, ns in (("direct", direct_ns), ("factored", factored_ns))]
     return rows, checks == len(points)
 
 
@@ -208,14 +180,9 @@ def _rows_to_csv(rows):
 def cmd_bench(args):
     cert = factorize(_parse_weight(args.lam), args.m, args.n)
     if not cert.balanced:
-        _write(args, json.dumps(cert.to_dict(), indent=2))
-        return EXIT_VANISHING
+        return EXIT_VANISHING, cert.to_dict()
     rows, ok = run_benchmark(cert, samples=args.samples, seed=args.seed)
-    if args.emit == "json":
-        _write(args, json.dumps(rows, indent=2))
-    else:
-        _write(args, _rows_to_csv(rows))
-    return EXIT_PASS if ok else EXIT_INPUT
+    return EXIT_PASS if ok else EXIT_INPUT, rows
 
 
 def _sweep_one(packed):
@@ -235,6 +202,7 @@ def cmd_sweep(args):
     # so each task carries a quarter of a worker's share, rounded up
     jobs = min(args.jobs, len(packed), os.cpu_count() or 1)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_one, packed, chunksize=-(-len(packed) // (4 * jobs))))
     else:
@@ -245,13 +213,9 @@ def cmd_sweep(args):
         "vanishing": sum(not r["balanced"] for r in rows),
         "failed": sum(not r["check_passed"] for r in rows),
     }
-    if args.emit == "csv":
-        flat = [dict(r, **{"lambda": " ".join(str(x) for x in r["lambda"])})
-                for r in rows]
-        _write(args, _rows_to_csv(flat))
-    else:
-        _write(args, json.dumps({"summary": summary, "rows": rows}, indent=2))
-    return EXIT_PASS if summary["failed"] == 0 else EXIT_INPUT
+    report = ([dict(r, **{"lambda": " ".join(str(x) for x in r["lambda"])}) for r in rows]
+              if args.emit == "csv" else {"summary": summary, "rows": rows})
+    return EXIT_PASS if summary["failed"] == 0 else EXIT_INPUT, report
 
 
 def build_parser():
@@ -329,7 +293,18 @@ def main(argv=None):
         if args.emit not in args.emits:
             accepted = " or ".join(args.emits) if args.emits[1:] else f"{args.emits[0]} only"
             raise ValueError(f"{args.command} supports --emit {accepted}")
-        return args.func(args)
+        code, report = args.func(args)
+        if not isinstance(report, str):
+            report = (_rows_to_csv(report) if args.emit == "csv" and isinstance(report, list)
+                      else json.dumps(report, indent=2))
+        if not report.endswith("\n"):
+            report += "\n"
+        if args.output:
+            with open(args.output, "w") as handle:
+                handle.write(report)
+        else:
+            sys.stdout.write(report)
+        return code
     except EnumerationTooLarge as exc:
         print(f"error: instance too large for exact enumeration ({exc})",
               file=sys.stderr)

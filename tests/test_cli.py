@@ -20,6 +20,7 @@ from charfactor.characters import (twisted_numerator, twisted_numerator_terms,
 from charfactor.factorize import (CosetAuditReport, FactorizationCertificate,
                                   coset_audit, factorize, verify_numeric)
 from oracles import twisted_vandermonde_product
+from test_cli_battery import _mask
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +128,34 @@ class TestFactorCommand:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: --output is a directory: {tmp_path}\n"
+
+
+class TestOutputOption:
+    @pytest.mark.parametrize("argv", [
+        ("factor", "--m", "2", "--n", "2", "--lambda", "1,1,0,0"),
+        ("verify", "--m", "2", "--n", "2", "--lambda", "1,1,0,0", "--samples", "1"),
+        ("verify", "--m", "2", "--n", "2", "--lambda", "1,0,0,0", "--samples", "1"),
+        ("verify", "--m", "2", "--n", "2", "--lambda", "1,1,0,0", "--samples", "1",
+         "--emit", "poly"),
+        ("verify", "--m", "2", "--n", "2", "--lambda", "1,0,0,0", "--samples", "1",
+         "--emit", "poly"),
+        ("denom-check", "--m", "2", "--n", "2"),
+        ("denom-check", "--m", "2", "--n", "2", "--emit", "poly"),
+        ("coset-audit", "--m", "2", "--n", "2", "--lambda", "1,1,0,0"),
+        ("coxeter", "--lambda", "1,0,0,0"),
+        ("bench", "--m", "2", "--n", "2", "--lambda", "1,1,0,0", "--samples", "2"),
+        ("bench", "--m", "2", "--n", "2", "--lambda", "1,1,0,0", "--samples", "2",
+         "--emit", "json"),
+        ("bench", "--m", "2", "--n", "2", "--lambda", "1,0,0,0"),
+        ("sweep", "--m", "1", "--n", "2", "--min", "0", "--max", "2", "--samples", "1"),
+        ("sweep", "--m", "1", "--n", "2", "--min", "0", "--max", "2", "--samples", "1",
+         "--emit", "csv"),
+    ])
+    def test_file_gets_what_stdout_gets(self, capsys, tmp_path, argv):
+        code, out = run_cli(capsys, *argv)
+        target = tmp_path / "report"
+        assert run_cli(capsys, *argv, "--output", str(target)) == (code, "")
+        assert _mask(target.read_bytes().decode()) == _mask(out)
 
 
 class TestEmitValidation:
@@ -578,7 +607,7 @@ class TestSweepCommand:
                 chunks.append(chunksize)
                 return map(func, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         code, out = run_cli(capsys, "sweep", *argv, "--samples", "1")
         assert code == 0
