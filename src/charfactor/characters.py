@@ -48,7 +48,7 @@ from .cyclotomic import Cyclotomic, as_cyclotomic, zeta
 from .laurent import LaurentPoly
 from .perms import (DEFAULT_ENUMERATION_BOUND, check_enumeration_bound,
                     permutation_parity)
-from .weights import check_dominant, is_residue_balanced, normalize_residue_blocks
+from .weights import check_dominant, residue_normal_form
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +117,7 @@ def coset_block_sum(mu, m, n, rep):
 def twisted_numerator_terms(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
     """The twisted alternant det(x_p^(mu_j)), x_(k*m+s) = zeta_n^k * t_s, as
     one pair (n tuples of m exponents, nonzero scalar in Z[zeta_n]).
-    Rearranged by `normalize_residue_blocks`, with the sign of the
+    Rearranged by `weights.residue_normal_form`, with the sign of the
     rearrangement, the matrix is (F_n x I_m) diag(B_0, ..., B_(n-1)), F_n =
     (zeta_n^(kr)) and B_r = (t_s^v) over the values v of class r mod n in
     decreasing order.  So a mu with a repeated entry or classes of unequal
@@ -126,9 +126,10 @@ def twisted_numerator_terms(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
     check_enumeration_bound(m * n, bound)
     if len(mu) != m * n:
         raise ValueError("mu length must be m*n")
-    if len(set(mu)) < len(mu) or not is_residue_balanced(mu, m, n):
+    normal = residue_normal_form(mu, m, n) if len(set(mu)) == len(mu) else None
+    if normal is None:
         return None
-    normal, sign = normalize_residue_blocks(mu, m, n)
+    normal, sign = normal
     if (n * (n - 1) // 2) * (m * (m + 1) // 2) % 2:
         sign = -sign
     scalar = denominator_scalar(m, n)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, prod
 from operator import mul
 
@@ -23,8 +24,8 @@ from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure, Perm,
 from .characters import (check_residue_blocks, coset_block_sum, coxeter_value,
                          denominator_scalar, multiply_out, schur_at_point,
                          twisted_numerator_terms)
-from .weights import (factor_weights, is_residue_balanced,
-                      normalize_residue_blocks, shifted_weight, staircase)
+from .weights import (factor_weights, normalize_residue_blocks,
+                      residue_normal_form, shifted_weight, staircase)
 
 DEFAULT_SEED = 1729
 
@@ -72,18 +73,23 @@ def _check_shape(lam, m, n):
         raise ValueError(f"weight length {len(lam)} does not match m*n = {m * n}")
 
 
+@lru_cache(maxsize=None)
+def _staircase_sign(m, n):
+    return residue_normal_form(staircase(m * n), m, n)[1]
+
+
 def factorize(lam, m, n):
     """Produce the factorization certificate for a dominant weight of
     length m*n; a vanishing certificate when the residue balance fails."""
     lam = tuple(lam)
     _check_shape(lam, m, n)
-    shifted = shifted_weight(lam)
-    if not is_residue_balanced(shifted, m, n):
+    normal = residue_normal_form(shifted_weight(lam), m, n)
+    if normal is None:
         return FactorizationCertificate(m=m, n=n, lam=lam)
-    mu, w0_sign = normalize_residue_blocks(shifted, m, n)
+    mu, w0_sign = normal
     etas = factor_weights(mu, m, n)
     # mu and the normalized staircase share one row-block scalar at t.c_n (Littlewood's n-core sign)
-    epsilon = w0_sign * normalize_residue_blocks(staircase(m * n), m, n)[1]
+    epsilon = w0_sign * _staircase_sign(m, n)
     return FactorizationCertificate(m=m, n=n, lam=lam, mu=mu, w0_sign=w0_sign,
                                     etas=etas, epsilon=epsilon)
 
@@ -166,7 +172,8 @@ def verify_terms(cert, terms):
     exponents; terms whose tuples are exactly those pass with their
     scalar, anything else is compared multiplied out, the right-hand side
     with the int 1, so the ratio divides only by ints.  Etas not n weights
-    of length m, or with a zero alternant, match no scalar."""
+    of length m, or with a zero alternant, match no scalar, and signs
+    other than 1 and -1 fail."""
     m, n = cert.m, cert.n
     if len(cert.etas) != n or any(len(eta) != m for eta in cert.etas):
         return False, None
@@ -176,7 +183,8 @@ def verify_terms(cert, terms):
         scalar = terms[1]
     else:
         scalar = multiply_out(terms, m).scalar_ratio(multiply_out((rhs, 1), m))
-    ok = scalar is not None and scalar * cert.w0_sign == denominator_scalar(m, n) * cert.epsilon
+    ok = (scalar is not None and cert.w0_sign in (1, -1) and cert.epsilon in (1, -1)
+          and scalar == denominator_scalar(m, n) * (cert.epsilon * cert.w0_sign))
     return ok, scalar
 
 

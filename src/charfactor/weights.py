@@ -1,8 +1,13 @@
-"""Dominant weights, the staircase shift, and residue-block normalization."""
+"""Dominant weights, the staircase shift, and residue-block normalization:
+`residue_normal_form` puts each position in the bucket of its residue mod
+n in one scan, then sorts each bucket by decreasing value.  It gives None
+when a class does not hold exactly m entries; `normalize_residue_blocks`
+raises ValueError there, and on a length other than m*n."""
 
 from __future__ import annotations
 
 import itertools
+from operator import add, lt
 
 from .perms import permutation_parity
 
@@ -13,38 +18,46 @@ def staircase(size):
 
 
 def check_dominant(lam):
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    if any(map(lt, lam, lam[1:])):
         raise ValueError("weight not dominant")
 
 
 def shifted_weight(lam):
     """lam + staircase; strictly decreasing whenever lam is dominant."""
     check_dominant(lam)
-    return tuple(a + b for a, b in zip(lam, staircase(len(lam))))
+    return tuple(map(add, lam, range(len(lam) - 1, -1, -1)))
 
 
 def is_residue_balanced(vec, m, n):
     """Does every residue class mod n contain exactly m entries of vec?"""
-    counts = [0] * n
-    for x in vec:
-        counts[x % n] += 1
-    return all(c == m for c in counts)
+    return residue_normal_form(vec, m, n) is not None
+
+
+def residue_normal_form(vec, m, n):
+    """(vec with its residue-k entries in block k, decreasing, sign of the
+    rearrangement), or None when vec is not residue-balanced."""
+    buckets = [[] for _ in range(n)]
+    for i, x in enumerate(vec):
+        buckets[x % n].append(i)
+    # 0-based source index for each target slot
+    order = []
+    for idxs in buckets:
+        if len(idxs) != m:
+            return None
+        idxs.sort(key=vec.__getitem__, reverse=True)
+        order += idxs
+    return tuple(map(vec.__getitem__, order)), permutation_parity(order)
 
 
 def normalize_residue_blocks(vec, m, n):
-    """Rearrange vec so residue-k entries occupy block k, decreasing inside
-    each block; returns (rearranged vector, sign of the rearrangement)."""
+    """`residue_normal_form` of vec, which must have length m*n and be
+    residue-balanced; ValueError otherwise."""
     if len(vec) != m * n:
         raise ValueError("vector length must be m*n")
-    # 0-based source index for each target slot
-    order = []
-    for k in range(n):
-        idxs = [i for i, x in enumerate(vec) if x % n == k]
-        if len(idxs) != m:
-            raise ValueError("residue condition fails")
-        idxs.sort(key=lambda i: vec[i], reverse=True)
-        order.extend(idxs)
-    return tuple(vec[i] for i in order), permutation_parity(tuple(order))
+    normal = residue_normal_form(vec, m, n)
+    if normal is None:
+        raise ValueError("residue condition fails")
+    return normal
 
 
 def factor_weights(mu, m, n):

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -15,8 +16,8 @@ from charfactor.perms import (BlockStructure, EnumerationTooLarge, Perm,
 from charfactor.characters import (alternant, multiply_out, schur_at_point,
                                    twisted_numerator, twisted_numerator_terms)
 from charfactor.weights import (dominant_weights, is_residue_balanced,
-                                normalize_residue_blocks, shifted_weight,
-                                staircase)
+                                normalize_residue_blocks, residue_normal_form,
+                                shifted_weight, staircase)
 from charfactor.factorize import (FactorizationCertificate, coset_audit,
                                   coset_block_sum, factorize, random_regular_point,
                                   sample_points, sign_via_coxeter,
@@ -338,6 +339,17 @@ class TestVerifySymbolic:
         monkeypatch.setattr(module, "multiply_out", counted)
         assert verify_symbolic(cert) == (False, None)
         assert calls[0] == other and len(calls) == 2
+
+    @pytest.mark.parametrize("w0_sign, epsilon", [(0, 0), (2, 2), (-2, Fraction(1, 2))])
+    def test_signs_other_than_one_fail(self, w0_sign, epsilon):
+        # (0, 0) zeroes both sides of scalar * w0_sign == constant * epsilon,
+        # and (-2, 1/2) has the genuine product w0_sign * epsilon = -1
+        cert = factorize((1, 1, 1, 0, 0, 0), 2, 3)
+        ok, scalar = verify_symbolic(cert)
+        assert ok and cert.w0_sign * cert.epsilon == -1
+        bad = dataclasses.replace(cert, w0_sign=w0_sign, epsilon=epsilon)
+        assert verify_symbolic(bad) == (False, scalar)
+        assert not verify_numeric(bad)
 
     def test_agrees_with_numeric_on_stock(self):
         for lam in dominant_weights(4, 0, 2):
@@ -700,3 +712,29 @@ class TestCertificateInvariants:
         mu, sign = normalize_residue_blocks(shifted_weight(cert.lam), 2, 2)
         assert cert.mu == mu
         assert cert.w0_sign == sign
+
+
+class TestStaircaseSign:
+    def test_matches_the_closed_exponent_on_every_shape(self):
+        # the closed exponent is the oracle; factorize keeps its own route
+        module = importlib.import_module("charfactor.factorize")
+        shapes = [(m, n) for m in range(1, 9) for n in range(1, 9) if m * n <= 40]
+        assert len(shapes) == 56
+        for m, n in shapes:
+            assert module._staircase_sign(m, n) == (-1) ** (comb(n, 2) * comb(m + 1, 2)), (m, n)
+
+    def test_normalized_once_per_shape(self, monkeypatch):
+        module = importlib.import_module("charfactor.factorize")
+        module._staircase_sign.cache_clear()
+        calls = []
+
+        def counted(vec, m, n):
+            calls.append(tuple(vec))
+            return residue_normal_form(vec, m, n)
+
+        monkeypatch.setattr(module, "residue_normal_form", counted)
+        first = factorize((2, 2, 2, 2, 1, 0), 2, 3)
+        second = factorize((1, 1, 1, 0, 0, 0), 2, 3)
+        assert calls.count(staircase(6)) == 1
+        assert len(calls) == 3
+        assert (first.epsilon, second.epsilon) == (-1, 1)

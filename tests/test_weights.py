@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from charfactor.weights import (dominant_weights, factor_weights,
                                 is_residue_balanced, normalize_residue_blocks,
-                                shifted_weight, staircase)
+                                residue_normal_form, shifted_weight, staircase)
 from oracles import residue_permutation
 
 
@@ -111,6 +112,29 @@ class TestNormalize:
             block = mu[m * k: m * (k + 1)]
             assert all(x % n == k for x in block)
             assert list(block) == sorted(block, reverse=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.data())
+    def test_any_vector_against_the_oracle(self, m, n, balanced, data):
+        # any order, repeats and negative entries; half the draws are built
+        # balanced, m entries k + n*q per class k, then shuffled
+        if balanced:
+            quotients = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+            entries = [k + n * q for k in range(n) for q in data.draw(quotients)]
+            v = tuple(data.draw(st.permutations(entries)))
+        else:
+            v = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=m * n,
+                                         max_size=m * n)))
+        counts = Counter(x % n for x in v)
+        if all(counts[k] == m for k in range(n)):
+            w = residue_permutation(v, m, n)
+            assert normalize_residue_blocks(v, m, n) == (w.act(v), w.sign)
+            assert residue_normal_form(v, m, n) == (w.act(v), w.sign)
+        else:
+            assert not balanced
+            with pytest.raises(ValueError, match="residue condition fails"):
+                normalize_residue_blocks(v, m, n)
+            assert residue_normal_form(v, m, n) is None
 
 
 class TestFactorWeights:
