@@ -31,9 +31,10 @@ prod_(k<n) (1 + zeta_n^k x z) = 1 - (-x z)^n, those of t.c_n are e_(nj) =
 (-1)^((n+1)j) e_j and h_(nj) = h_j of the t_s^n, and zero in degrees not
 divisible by n, so an integer t keeps the determinant on Python ints;
 the Coxeter point (1, w, ..., w^(N-1)) is 1.c_N, so its values are ints.
-It is a polynomial identity, so the point need not be regular.  The
-tableau Schur polynomial, the alternant ratio and the literal point
-t.c_n that cross-check it live with the test oracles.
+The plan, which e_(nj) or h_(nj) goes in which cell, is cached per
+(lam, n), at most 1,024 plans; a raise is not cached.  The identity is
+polynomial, so the point need not be regular.  The tableau Schur
+polynomial, alternant ratio and literal point t.c_n are test oracles.
 """
 
 from __future__ import annotations
@@ -230,6 +231,33 @@ def det_fraction_free(matrix):
     return -det if sign < 0 else det
 
 
+@lru_cache(maxsize=1024)
+def _jacobi_trudi_plan(lam, n):
+    # the point-free part of schur_at_point: (lam_N, e or h?, top // n, cells)
+    check_dominant(lam)
+    base = lam[-1] if lam else 0
+    kappa = [x - base for x in lam if x > base]
+    if not kappa:  # lam is constant: a power of the coordinate product
+        return base, True, -1, ()
+    width = kappa[0]
+    elementary = width <= len(kappa)
+    # the largest index any entry needs; e_k vanishes past k = N
+    top = width + len(kappa) - 1
+    if elementary:
+        rows = []  # kappa', filled from its shortest part up
+        for k in range(len(kappa), 0, -1):
+            rows += [k] * (kappa[k - 1] - len(rows))
+        top = min(top, len(lam))
+    else:
+        rows = kappa
+    # cell (i, j): d // n for d = rows_i - i + j, or -1 where e_d or h_d is 0
+    size = len(rows)
+    line = [-1] * (size + width + len(kappa))
+    line[size:size + top + 1:n] = range(top // n + 1)
+    return base, elementary, top // n, tuple([tuple(line[r - i + size:r - i + 2 * size])
+                                              for i, r in enumerate(rows)])
+
+
 def schur_at_point(lam, point, n=1):
     """Character value at point.c_n, the coordinates zeta_n^k * x over x
     in point and k < n, by Jacobi-Trudi on the shorter side of the diagram
@@ -242,36 +270,22 @@ def schur_at_point(lam, point, n=1):
     give an int (a Fraction when lam_N < 0); other x^n enter as they are,
     and `Cyclotomic` lifts their orders where two meet."""
     lam = tuple(lam)
-    check_dominant(lam)
-    coords = [x if n == 1 else x ** n for x in point]
-    size = len(lam)
-    if len(coords) * n != size:
+    coords = list(point) if n == 1 else [x ** n for x in point]
+    if len(coords) * n != len(lam):
         raise ValueError("point arity mismatch")
-    base = lam[-1] if lam else 0
+    base, elementary, length, cells = _jacobi_trudi_plan(lam, n)
     if base < 0 and any(not c for c in coords):
         raise ValueError("pole at evaluation point")
-    kappa = [x - base for x in lam if x > base]
-    width = kappa[0] if kappa else 0
-    elementary = width <= len(kappa)
-    # the largest index any entry needs; e_k vanishes past k = N
-    top = width + len(kappa) - 1
-    if elementary:
-        rows = [sum(1 for x in kappa if x > i) for i in range(width)]
-        top = min(top, size)
-    else:
-        rows = kappa
-    seq = [1] + [0] * (top // n)
+    seq = [1] + [0] * (length + 1)  # seq[-1] stays 0, for the cells that are 0
     for i, x in enumerate(coords, 1):
         # one coordinate at a time, seq_k <- seq_k + x * seq_(k-1): with k
         # descending this multiplies by 1 + x z (e_k), ascending by
         # 1 / (1 - x z) (h_k); e_k has no terms past k = i yet
-        for k in range(min(i, top // n), 0, -1) if elementary else range(1, top // n + 1):
+        for k in range(min(i, length), 0, -1) if elementary else range(1, length + 1):
             seq[k] = seq[k] + x * seq[k - 1]
     if elementary and n % 2 == 0:
         seq[1::2] = [-e for e in seq[1::2]]
-    value = det_fraction_free([[seq[d // n] if 0 <= d <= top and d % n == 0 else 0
-                                for d in range(r - i, r - i + len(rows))]
-                               for i, r in enumerate(rows)]) if rows else 1
+    value = det_fraction_free([list(map(seq.__getitem__, row)) for row in cells]) if cells else 1
     if base:
         total = reduce(mul, coords)
         total = -total if (n - 1) * len(coords) % 2 else total

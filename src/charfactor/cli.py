@@ -143,7 +143,8 @@ def cmd_coxeter(args):
 def run_benchmark(cert, samples=3, seed=DEFAULT_SEED):
     """Time direct evaluation (`schur_at_point` at t.c_n) against factored
     evaluation of a balanced certificate from `factorize` on shared t;
-    returns (csv rows, all results identical)."""
+    returns (csv rows, all results identical).  The first sample also
+    builds the Jacobi-Trudi plans, so `wall_ns_min` is the warm figure."""
     if not cert.balanced:
         raise ValueError("benchmark needs a balanced weight")
     m, n = cert.m, cert.n

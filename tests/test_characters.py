@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from charfactor.cyclotomic import Cyclotomic, as_cyclotomic, field_degree, zeta
 from charfactor.laurent import LaurentPoly
 from charfactor.perms import EnumerationTooLarge, Perm, permutation_parity, row_coset_reps
-from charfactor.characters import (alternant, coset_block_sum, coxeter_value,
-                                   denominator_scalar, det_fraction_free,
+from charfactor.characters import (_jacobi_trudi_plan, alternant, coset_block_sum,
+                                   coxeter_value, denominator_scalar, det_fraction_free,
                                    multiply_out, schur_at_point,
                                    twisted_numerator, twisted_numerator_terms,
                                    twisted_vandermonde_closed)
@@ -580,6 +580,76 @@ class TestSchur:
         # equals the dimension 8 of the corresponding rank-3 representation
         poly = schur_polynomial((2, 1, 0))
         assert sum(c.as_fraction() for c in poly.terms.values()) == 8
+
+
+class TestJacobiTrudiPlan:
+    # schur_at_point keeps the point-free part of its matrix per (lam, n) in
+    # a bounded cache; a plan keyed wrongly shows only on a warm second call
+
+    @staticmethod
+    def grid():
+        # every dominant lam with m*n <= 6 and entries in [-1, 2], so that
+        # lam_N < 0 gives a Fraction, at every n dividing its length
+        return [(lam, n) for size in range(1, 7) for lam in dominant_weights(size, -1, 2)
+                for n in range(1, size + 1) if size % n == 0]
+
+    def test_warm_plan_matches_the_oracles(self):
+        # the first pass fills the plans with lam as a list at int t; the
+        # second, in another order, reads each of them with lam as a tuple
+        # at a Fraction or Cyclotomic t; the same lam comes at two or more n
+        # in each pass, between other weights, and every value must equal
+        # the Weyl ratio at the literal point t.c_n
+        _jacobi_trudi_plan.cache_clear()
+        rng = random.Random(2029)
+        grid = self.grid()
+        assert len({lam for lam, _ in grid}) < len(grid)
+        for warm in (False, True):
+            rng.shuffle(grid)
+            for lam, n in grid:
+                m = len(lam) // n
+                if not warm:
+                    t = random_regular_point(rng, m)
+                elif rng.random() < 0.5:
+                    t = [Fraction(r, r + 1) + 2 * s + 1 for s, r in enumerate(rng.sample(range(1, 9), m))]
+                else:
+                    t = [zeta(rng.choice((3, 4)), rng.randrange(4)) * (s + 2) for s in range(m)]
+                value = schur_at_point(lam if warm else list(lam), t, n)
+                assert value == schur_ratio_at_point(lam, twisted_point(t, n)), (lam, n, t)
+                if not warm:
+                    assert type(value) is (Fraction if lam[-1] < 0 else int), (lam, n)
+        info = _jacobi_trudi_plan.cache_info()
+        assert info.misses == info.hits == len(grid)
+
+    def test_raises_are_not_cached(self):
+        _jacobi_trudi_plan.cache_clear()
+        for lam in ((0, 1), [1, 2, 0], (2, 0, 1, 0)):
+            for n in (1, 1, len(lam)):
+                with pytest.raises(ValueError, match="weight not dominant"):
+                    schur_at_point(lam, [2] * (len(lam) // n), n)
+        assert _jacobi_trudi_plan.cache_info().currsize == 0
+        for lam in ((2, 1, 0, 0), (1, 0, 0, -1)):
+            for n, good, bad in ((1, [2, 3, 5, 7], [2, 3, 5]), (2, [2, 3], [2, 3, 5])):
+                assert schur_at_point(lam, good, n) == \
+                    schur_ratio_at_point(lam, twisted_point(good, n))
+                for _ in range(2):
+                    with pytest.raises(ValueError, match="point arity mismatch"):
+                        schur_at_point(lam, bad, n)
+        # lam_N < 0: a zero coordinate is a pole on a warm plan too
+        for n, point in ((1, [2, 0, 5, 7]), (2, [0, 3]), (4, [0])):
+            schur_at_point((1, 0, 0, -1), [x or 1 for x in point], n)
+            for _ in range(2):
+                with pytest.raises(ValueError, match="pole at evaluation point"):
+                    schur_at_point((1, 0, 0, -1), point, n)
+
+    def test_cache_is_bounded(self):
+        # a long sweep keeps at most maxsize plans: (k, k) has an empty
+        # matrix, so each of these calls is cheap and needs its own plan
+        maxsize = _jacobi_trudi_plan.cache_parameters()["maxsize"]
+        assert type(maxsize) is int and maxsize > 0
+        _jacobi_trudi_plan.cache_clear()
+        for k in range(maxsize + 10):
+            assert schur_at_point((k, k), [1, 1]) == 1
+        assert _jacobi_trudi_plan.cache_info().currsize == maxsize
 
 
 class TestDeterminant:
