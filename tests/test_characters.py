@@ -610,7 +610,8 @@ class TestJacobiTrudiPlan:
                 if not warm:
                     t = random_regular_point(rng, m)
                 elif rng.random() < 0.5:
-                    t = [Fraction(r, r + 1) + 2 * s + 1 for s, r in enumerate(rng.sample(range(1, 9), m))]
+                    t = [Fraction(r, r + 1) + 2 * s + 1
+                         for s, r in enumerate(rng.sample(range(1, 9), m))]
                 else:
                     t = [zeta(rng.choice((3, 4)), rng.randrange(4)) * (s + 2) for s in range(m)]
                 value = schur_at_point(lam if warm else list(lam), t, n)
