@@ -268,7 +268,9 @@ def schur_at_point(lam, point, n=1):
     e_(nj) = (-1)^((n+1)j) e_j and h_(nj) = h_j of the x^n, the other e_k
     and h_k are 0, and the product is (-1)^((n-1)m) prod x^n.  Ints x^n
     give an int (a Fraction when lam_N < 0); other x^n enter as they are,
-    and `Cyclotomic` lifts their orders where two meet."""
+    and `Cyclotomic` lifts their orders where two meet.  n < 1 raises."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     lam = tuple(lam)
     coords = list(point) if n == 1 else [x ** n for x in point]
     if len(coords) * n != len(lam):

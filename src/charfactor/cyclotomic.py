@@ -207,8 +207,6 @@ class Cyclotomic:
             return NotImplemented
         an, bn = a.num, b.num
         deg = len(an)
-        if deg == 1:
-            return Cyclotomic(a.order, (an[0] * bn[0],), _den=a.den * b.den)
         prod = [0] * (2 * deg - 1)
         for i, x in enumerate(an):
             if x:
@@ -313,26 +311,18 @@ class Cyclotomic:
         return Fraction(self.num[0], self.den)
 
     def __str__(self):
-        parts = []
+        text = ""
         for j, c in enumerate(self.coeffs):
             if not c:
                 continue
-            if j == 0:
-                parts.append(str(c))
-                continue
+            if c < 0:
+                text += " - " if text else "-"
+            elif text:
+                text += " + "
+            c = abs(c)
             var = "z" if j == 1 else f"z^{j}"
-            if c == 1:
-                parts.append(var)
-            elif c == -1:
-                parts.append(f"-{var}")
-            else:
-                parts.append(f"{c}*{var}")
-        if not parts:
-            return "0"
-        text = parts[0]
-        for part in parts[1:]:
-            text += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return text
+            text += str(c) if j == 0 else var if c == 1 else f"{c}*{var}"
+        return text or "0"
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {self})"

@@ -20,7 +20,7 @@ from operator import mul
 
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure, Perm,
                     check_enumeration_bound, is_column_row_product,
-                    outside_coset_reps, column_subgroup)
+                    row_coset_reps, column_subgroup)
 from .characters import (check_residue_blocks, coset_block_sum, coxeter_value,
                          denominator_scalar, multiply_out, schur_at_point,
                          twisted_numerator_terms)
@@ -263,18 +263,19 @@ def coset_audit(lam, m, n, outside_sample=None,
     monomial by a power of zeta_n that is unchanged under the row action.
 
     (a) walks the canonical representatives of the outside cosets only
-    (`outside_coset_reps`, flagged once per row-block choice) and sums
-    each through one `coset_block_sum` call; or, when outside_sample is
-    below the (mn)!/(m!)^n - (n!)^m outside cosets, it draws that many
-    distinct ones with a Random seeded by seed, without listing the rest.
+    (`row_coset_reps(..., outside=True)`, flagged once per row-block
+    choice) and sums each through one `coset_block_sum` call; or, when
+    outside_sample is below the (mn)!/(m!)^n - (n!)^m outside cosets, it
+    draws that many distinct ones with a Random seeded by seed, without
+    listing the rest.
     (b) checks two facts: each column element keeps every value in its
     column, and, once per audit, every row block of the residue-normalized
     mu lies in one residue class mod n (`check_residue_blocks`, cached for
-    the `coset_block_sum` calls).  A column element that keeps
-    columns moves no t-exponent, so it multiplies the base monomial by
-    zeta_n to the power sum(rows * mu) - base, where rows[p] is the row
-    block it carries position p to; and a row swap inside a block of one
-    residue class leaves that power alone, so the constant is row-invariant.
+    the `coset_block_sum` calls).  A column element that keeps columns moves
+    no t-exponent, so it multiplies the base monomial by zeta_n to the power
+    sum(rows * mu) - base, where rows[p] is the row block it carries
+    position p to; and a row swap inside a block of one residue class leaves
+    that power alone, so the constant is row-invariant.
     m*n above bound raises EnumerationTooLarge before any coset is summed.
     """
     lam = tuple(lam)
@@ -290,7 +291,7 @@ def coset_audit(lam, m, n, outside_sample=None,
             outside_sample < factorial(m * n) // factorial(m) ** n - factorial(n) ** m:
         outside = _sample_outside_cosets(m, n, outside_sample, random.Random(seed))
     else:
-        outside = list(outside_coset_reps(m, n, bound=bound))
+        outside = list(row_coset_reps(m, n, bound, outside=True))
     for rep in outside:
         if coset_block_sum(mu, m, n, rep):
             failures.append(f"nonzero block sum on the coset of {rep!r}")

@@ -6,8 +6,8 @@ The row subgroup permutes positions inside each row, the column subgroup
 inside each column.  Enumeration orders are fixed, so logs are reproducible.
 `row_subgroup` and `row_coset_reps` are lexicographic on image vectors;
 `column_subgroup` is not, so `CosetAuditReport.to_dict` sorts its constants.
-`outside_coset_reps` keeps the cosets with no column-row representative,
-deciding that once per row-block choice of the same walk.
+`row_coset_reps(..., outside=True)` keeps the cosets with no column-row
+representative, deciding that once per row-block choice of the same walk.
 """
 
 from __future__ import annotations
@@ -185,10 +185,3 @@ def row_coset_reps(m, n, bound=DEFAULT_ENUMERATION_BOUND, *, outside=False):
                 yield Perm._unchecked(prefix + chosen + rest)
 
     return assign(tuple(range(1, m * n + 1)), (), False)
-
-
-def outside_coset_reps(m, n, bound=DEFAULT_ENUMERATION_BOUND):
-    """The representatives of `row_coset_reps` whose coset has no
-    column-row representative (fails `is_column_row_product`), in the same
-    order, from the same walk: (mn)!/(m!)^n - (n!)^m of them."""
-    return row_coset_reps(m, n, bound, outside=True)

@@ -61,16 +61,14 @@ def normalize_residue_blocks(vec, m, n):
 
 
 def factor_weights(mu, m, n):
-    """One dominant length-m weight per residue block of mu: divide out the
-    modulus on block k via x -> (x - k)/n, then drop the staircase."""
+    """One dominant length-m weight per block k of mu, which must be in
+    residue normal form (ValueError if not): (x - k)/n less the staircase."""
     rho = staircase(m)
-    out = []
-    for k in range(n):
-        block = sorted(mu[m * k: m * (k + 1)], reverse=True)
-        if any(x % n != k for x in block):
-            raise ValueError("residue condition fails")
-        out.append(tuple((x - k) // n - r for x, r in zip(block, rho)))
-    return tuple(out)
+    blocks = [mu[m * k: m * (k + 1)] for k in range(n)]
+    if any(x % n != k for k, block in enumerate(blocks) for x in block):
+        raise ValueError("residue condition fails")
+    return tuple(tuple((x - k) // n - r for x, r in zip(block, rho))
+                 for k, block in enumerate(blocks))
 
 
 def dominant_weights(length, lo, hi):

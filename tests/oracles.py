@@ -9,8 +9,8 @@ rebuilt through `alternant` and compared multiplied out, a single
 variable t_s, the substitution t_s -> t_s^k, evaluation of
 a Laurent polynomial at a point, all of S_N, the column-row products by
 explicit multiplication, the permutation that normalizes the residue
-blocks, and Littlewood's n-sign by ribbon removal.  None of them runs on
-a product path.
+blocks, Littlewood's n-sign by ribbon removal, and the two-pass printer
+of a cyclotomic value.  None of them runs on a product path.
 """
 
 import itertools
@@ -443,3 +443,30 @@ def littlewood_sign(lam, n):
         legs += sum(1 for x in beads if bead - n < x < bead)
         beads.remove(bead)
         beads.add(bead - n)
+
+
+def cyclotomic_text(value):
+    """str(value) in two passes: one signed part per nonzero coordinate
+    (c, z^j, -z^j or c*z^j), then the parts joined, each leading "-" of a
+    later part read back as the joiner " - "; oracle for
+    Cyclotomic.__str__."""
+    parts = []
+    for j, c in enumerate(value.coeffs):
+        if not c:
+            continue
+        if j == 0:
+            parts.append(str(c))
+            continue
+        var = "z" if j == 1 else f"z^{j}"
+        if c == 1:
+            parts.append(var)
+        elif c == -1:
+            parts.append(f"-{var}")
+        else:
+            parts.append(f"{c}*{var}")
+    if not parts:
+        return "0"
+    text = parts[0]
+    for part in parts[1:]:
+        text += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    return text

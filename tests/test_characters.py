@@ -472,6 +472,15 @@ class TestSchur:
             with pytest.raises(ValueError, match="point arity mismatch"):
                 schur_at_point((1, 0, 0, 0), [2, 3, 5], n)
 
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_n_below_one_raises(self, n):
+        # before the arity test: the empty weight once read 1 there, and a
+        # zero coordinate at n < 0 must not reach a division
+        for lam, point in (((), []), ((1, 0), [2, 3]), ((1, 0), []), ((2, 1, 0, -1), [0, 2])):
+            with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
+                schur_at_point(lam, point, n)
+        assert coxeter_value(()) == 1
+
     def test_matches_alternant_ratio_at_twisted_points(self):
         rng = random.Random(4096)
         sides = set()

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from charfactor.characters import det_fraction_free
 from charfactor.cyclotomic import (Cyclotomic, as_cyclotomic,
                                    cyclotomic_polynomial, field_degree, zeta)
+from oracles import cyclotomic_text
 
 
 def poly_as_dict(coeffs):
@@ -141,6 +142,17 @@ class TestFieldOperations:
         assert str(zeta(4)) == "z"
         assert str(1 - zeta(4)) == "1 - z"
         assert str(zeta(5, 2) * Fraction(3, 2)) == "3/2*z^2"
+
+    def test_orders_one_and_two_multiply_as_fractions(self):
+        # the general product, with no shortcut for degree 1
+        assert zeta(2) == -1 and zeta(2) * zeta(2) == 1 and zeta(1) == 1
+        values = (Fraction(-3, 2), -1, 0, 1, Fraction(5, 7), 4, 10 ** 30 + 1)
+        for d, e in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            for x in values:
+                for y in values:
+                    product = Cyclotomic(d, [x]) * Cyclotomic(e, [y])
+                    assert product.order == max(d, e) and product.coeffs == (x * y,)
+                    assert_canonical(product)
 
     def test_str_non_integral(self):
         assert str(Cyclotomic(5, [Fraction(5, 4), 0, Fraction(-3, 2), 0])) == "5/4 - 3/2*z^2"
@@ -351,6 +363,18 @@ class TestFractionOracle:
         assert value.order == order
         assert value.coeffs == tuple(oracle_mul(lifted_u, lifted_v, order))
         assert_canonical(value)
+
+
+class TestPrinter:
+    @pytest.mark.parametrize("order", range(1, 25))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_two_pass_reference(self, order, data):
+        value = Cyclotomic(order, data.draw(coordinate_lists(order)))
+        assert str(value) == cyclotomic_text(value)
+        for k in range(order):
+            for unit in (zeta(order, k), -zeta(order, k)):
+                assert str(unit) == cyclotomic_text(unit)
 
 
 class TestCanonicalForm:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from charfactor.perms import (BlockStructure, EnumerationTooLarge, Perm,
                               column_subgroup, is_column_row_product,
-                              outside_coset_reps, row_coset_reps, row_subgroup)
+                              row_coset_reps, row_subgroup)
 from oracles import column_row_products, row_coset_reps_by_sorting, symmetric_group
 
 
@@ -212,7 +212,7 @@ class TestCosetReps:
         # the verdict carried down the walk, with the leftover block
         # untested, against the one-coset-at-a-time criterion
         blocks = BlockStructure(m, n)
-        outside = list(outside_coset_reps(m, n))
+        outside = list(row_coset_reps(m, n, outside=True))
         assert outside == [rep for rep in row_coset_reps(m, n)
                            if not is_column_row_product(rep, blocks)]
         assert len(outside) == math.factorial(m * n) // math.factorial(m) ** n \
@@ -220,4 +220,4 @@ class TestCosetReps:
 
     def test_outside_reps_check_the_bound_before_any_work(self):
         with pytest.raises(EnumerationTooLarge):
-            outside_coset_reps(5, 2)
+            row_coset_reps(5, 2, outside=True)

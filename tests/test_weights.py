@@ -168,6 +168,34 @@ class TestFactorWeights:
             assert all(eta[i] >= eta[i + 1] for i in range(len(eta) - 1))
 
 
+def factor_weights_by_sorting(mu, m, n):
+    # reference: sort each block of mu before reading it
+    out = []
+    for k in range(n):
+        block = sorted(mu[m * k: m * (k + 1)], reverse=True)
+        if any(x % n != k for x in block):
+            raise ValueError("residue condition fails")
+        out.append(tuple((x - k) // n - r for x, r in zip(block, staircase(m))))
+    return tuple(out)
+
+
+class TestFactorWeightsAgainstSorting:
+    def test_every_balanced_weight_up_to_size_eight(self):
+        # residue_normal_form leaves each block decreasing, so reading the
+        # blocks as they are gives what sorting them first gives
+        checked = 0
+        for size in range(1, 9):
+            for m in (d for d in range(1, size + 1) if size % d == 0):
+                n = size // m
+                for lam in dominant_weights(size, -1, 2):
+                    normal = residue_normal_form(shifted_weight(lam), m, n)
+                    if normal is not None:
+                        mu = normal[0]
+                        assert factor_weights(mu, m, n) == factor_weights_by_sorting(mu, m, n)
+                        checked += 1
+        assert checked == 735
+
+
 class TestDominantWeights:
     def test_count(self):
         # weakly decreasing 4-tuples over {0..3}: C(7, 4)
