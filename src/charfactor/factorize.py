@@ -263,19 +263,18 @@ def coset_audit(lam, m, n, outside_sample=None,
     monomial by a power of zeta_n that is unchanged under the row action.
 
     (a) walks the canonical representatives of the outside cosets only
-    (`row_coset_reps(..., outside=True)`, flagged once per row-block
-    choice) and sums each through one `coset_block_sum` call; or, when
-    outside_sample is below the (mn)!/(m!)^n - (n!)^m outside cosets, it
-    draws that many distinct ones with a Random seeded by seed, without
-    listing the rest.
+    (`row_coset_reps`, outside=True, flagged once per row-block choice) and
+    sums each through one `coset_block_sum` call; or, when outside_sample is
+    below the (mn)!/(m!)^n - (n!)^m outside cosets, it draws that many
+    distinct ones with a Random seeded by seed, without listing the rest.
     (b) checks two facts: each column element keeps every value in its
     column, and, once per audit, every row block of the residue-normalized
     mu lies in one residue class mod n (`check_residue_blocks`, cached for
-    the `coset_block_sum` calls).  A column element that keeps columns moves
-    no t-exponent, so it multiplies the base monomial by zeta_n to the power
-    sum(rows * mu) - base, where rows[p] is the row block it carries
-    position p to; and a row swap inside a block of one residue class leaves
-    that power alone, so the constant is row-invariant.
+    the `coset_block_sum` calls).  A column element that keeps
+    columns moves no t-exponent, so it multiplies the base monomial by
+    zeta_n to the power sum(rows * mu) - base, where rows[p] is the row
+    block it carries position p to; and a row swap inside a block of one
+    residue class leaves that power alone, so the constant is row-invariant.
     m*n above bound raises EnumerationTooLarge before any coset is summed.
     """
     lam = tuple(lam)

@@ -62,7 +62,8 @@ def normalize_residue_blocks(vec, m, n):
 
 def factor_weights(mu, m, n):
     """One dominant length-m weight per block k of mu, which must be in
-    residue normal form (ValueError if not): (x - k)/n less the staircase."""
+    residue normal form (ValueError if not): divide out the modulus via
+    x -> (x - k)/n, then drop the staircase."""
     rho = staircase(m)
     blocks = [mu[m * k: m * (k + 1)] for k in range(n)]
     if any(x % n != k for k, block in enumerate(blocks) for x in block):

@@ -143,17 +143,6 @@ class TestFieldOperations:
         assert str(1 - zeta(4)) == "1 - z"
         assert str(zeta(5, 2) * Fraction(3, 2)) == "3/2*z^2"
 
-    def test_orders_one_and_two_multiply_as_fractions(self):
-        # the general product, with no shortcut for degree 1
-        assert zeta(2) == -1 and zeta(2) * zeta(2) == 1 and zeta(1) == 1
-        values = (Fraction(-3, 2), -1, 0, 1, Fraction(5, 7), 4, 10 ** 30 + 1)
-        for d, e in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            for x in values:
-                for y in values:
-                    product = Cyclotomic(d, [x]) * Cyclotomic(e, [y])
-                    assert product.order == max(d, e) and product.coeffs == (x * y,)
-                    assert_canonical(product)
-
     def test_str_non_integral(self):
         assert str(Cyclotomic(5, [Fraction(5, 4), 0, Fraction(-3, 2), 0])) == "5/4 - 3/2*z^2"
         assert str(Cyclotomic(5, [0, Fraction(-1, 3), 0, Fraction(7, 2)])) == "-1/3*z + 7/2*z^3"
