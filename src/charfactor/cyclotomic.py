@@ -315,10 +315,7 @@ class Cyclotomic:
         for j, c in enumerate(self.coeffs):
             if not c:
                 continue
-            if c < 0:
-                text += " - " if text else "-"
-            elif text:
-                text += " + "
+            text += (" - " if text else "-") if c < 0 else (" + " if text else "")
             c = abs(c)
             var = "z" if j == 1 else f"z^{j}"
             text += str(c) if j == 0 else var if c == 1 else f"{c}*{var}"

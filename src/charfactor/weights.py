@@ -61,15 +61,16 @@ def normalize_residue_blocks(vec, m, n):
 
 
 def factor_weights(mu, m, n):
-    """One dominant length-m weight per block k of mu, which must be in
-    residue normal form (ValueError if not): divide out the modulus via
-    x -> (x - k)/n, then drop the staircase."""
+    """One dominant length-m weight per block k of mu in residue normal form:
+    divide out the modulus via x -> (x - k)/n, then drop the staircase."""
     rho = staircase(m)
-    blocks = [mu[m * k: m * (k + 1)] for k in range(n)]
-    if any(x % n != k for k, block in enumerate(blocks) for x in block):
-        raise ValueError("residue condition fails")
-    return tuple(tuple((x - k) // n - r for x, r in zip(block, rho))
-                 for k, block in enumerate(blocks))
+    out = []
+    for k in range(n):
+        block = mu[m * k: m * (k + 1)]
+        if any(x % n != k for x in block):
+            raise ValueError("residue condition fails")
+        out.append(tuple((x - k) // n - r for x, r in zip(block, rho)))
+    return tuple(out)
 
 
 def dominant_weights(length, lo, hi):
