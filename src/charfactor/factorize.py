@@ -253,6 +253,29 @@ def _sample_outside_cosets(m, n, count, rng):
     return list(drawn)
 
 
+# The audit's shape-only work, keyed on the enumerator as well, so that a
+# rebound one (a test stub, a tracer wrapper) is never served stale; every
+# value is a tuple, so no report owns what the cache holds.
+@lru_cache(maxsize=8)
+def _outside_reps(walk, m, n):
+    return tuple(walk(m, n, m * n, outside=True))
+
+
+@lru_cache(maxsize=8)
+def _column_rows(elements, m, n):
+    # (eta, rows) for each column element that keeps every value in its
+    # column, rows[p] the row block it carries position p to; and the
+    # failure text of each element that does not
+    col_at = [p % m for p in range(m * n)]
+    kept, moved = [], []
+    for eta in elements(m, n):
+        if [(q - 1) % m for q in eta.images] != col_at:
+            moved.append(f"column element {eta!r} moves a value to another column")
+        else:
+            kept.append((eta, tuple((q - 1) // m for q in eta.images)))
+    return tuple(kept), tuple(moved)
+
+
 def coset_audit(lam, m, n, outside_sample=None,
                 seed=DEFAULT_SEED, bound=DEFAULT_ENUMERATION_BOUND):
     """Audit the coset structure of the alternating sum for one balanced
@@ -276,6 +299,12 @@ def coset_audit(lam, m, n, outside_sample=None,
     block it carries position p to; and a row swap inside a block of one
     residue class leaves that power alone, so the constant is row-invariant.
     m*n above bound raises EnumerationTooLarge before any coset is summed.
+
+    What depends on the shape alone is built once per (enumerator, m, n),
+    in two caches of 8 shapes each: the outside walk (`_outside_reps`) and,
+    per column element, its column check and its rows (`_column_rows`).
+    The bound, the residue check, every coset sum and every constant still
+    run per mu, and the column failures join every report.
     """
     lam = tuple(lam)
     _check_shape(lam, m, n)
@@ -284,26 +313,17 @@ def coset_audit(lam, m, n, outside_sample=None,
     mu, _ = normalize_residue_blocks(shifted_weight(lam), m, n)
     check_enumeration_bound(m * n, bound)
     check_residue_blocks(mu, m, n)
-    failures = []
-
     if outside_sample is not None and \
             outside_sample < factorial(m * n) // factorial(m) ** n - factorial(n) ** m:
         outside = _sample_outside_cosets(m, n, outside_sample, random.Random(seed))
     else:
-        outside = list(row_coset_reps(m, n, bound, outside=True))
-    for rep in outside:
-        if coset_block_sum(mu, m, n, rep):
-            failures.append(f"nonzero block sum on the coset of {rep!r}")
+        outside = _outside_reps(row_coset_reps, m, n)
+    failures = [f"nonzero block sum on the coset of {rep!r}"
+                for rep in outside if coset_block_sum(mu, m, n, rep)]
 
-    col_at = [p % m for p in range(m * n)]
+    kept, moved = _column_rows(column_subgroup, m, n)
+    failures += moved
     base = sum(p // m * v for p, v in enumerate(mu))
-    omega_powers = {}
-    for eta in column_subgroup(m, n):
-        if [(q - 1) % m for q in eta.images] != col_at:
-            failures.append(f"column element {eta!r} moves a value to another column")
-            continue
-        rows = [(q - 1) // m for q in eta.images]
-        omega_powers[eta] = (sum(map(mul, rows, mu)) - base) % n
-
+    omega_powers = {eta: (sum(map(mul, rows, mu)) - base) % n for eta, rows in kept}
     return CosetAuditReport(m=m, n=n, lam=lam, tested_outside=len(outside),
                             omega_powers=omega_powers, failures=failures)

@@ -562,18 +562,77 @@ class TestCosetAudit:
             assert audited, (m, n)
 
     def test_column_check_can_fail(self, monkeypatch):
-        # a swap inside one row block moves the t-exponents of mu
+        # a swap inside one row block moves the t-exponents of mu; the
+        # rebinding is seen after a real audit of the shape has filled the
+        # cache, on every call, and undoing it restores the real elements
+        assert coset_audit((2, 1, 1, 0), 2, 2).passed
         swap = Perm.transposition(4, 1, 2)
-        monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
-                            "column_subgroup", lambda m, n: iter([swap]))
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.import_module("charfactor.factorize"),
+                          "column_subgroup", lambda m, n: iter([swap]))
+            for _ in range(2):
+                report = coset_audit((2, 1, 1, 0), 2, 2)
+                assert not report.passed
+                assert report.failures == [
+                    f"column element {swap!r} moves a value to another column"]
+                # no constant was left to check for row invariance
+                assert report.tested_inside == 0
+                assert report.invariance_checked is False
+                assert report.to_dict()["invariance_checked"] is False
         report = coset_audit((2, 1, 1, 0), 2, 2)
-        assert not report.passed
-        assert report.failures == [
-            f"column element {swap!r} moves a value to another column"]
-        # no constant was left to check for row invariance
-        assert report.tested_inside == 0
-        assert report.invariance_checked is False
-        assert report.to_dict()["invariance_checked"] is False
+        assert report.passed
+        assert report.tested_inside == 4
+
+    def test_walk_rebinding_is_seen_after_a_warm_call(self, monkeypatch):
+        assert coset_audit((2, 1, 1, 0), 2, 2).tested_outside == 2
+        monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
+                            "row_coset_reps", lambda *args, **kwargs: iter(()))
+        assert coset_audit((2, 1, 1, 0), 2, 2).tested_outside == 0
+
+    def test_reports_never_share_the_cached_failures(self, monkeypatch):
+        # a report owns a fresh list: growing it leaves the next audit of
+        # the shape alone
+        report = coset_audit((2, 1, 1, 0), 2, 2)
+        report.failures.append("added by the caller")
+        again = coset_audit((2, 1, 1, 0), 2, 2)
+        assert again.passed
+        assert again.failures == []
+        # and the column failures come after part (a)'s, on each report
+        fz = importlib.import_module("charfactor.factorize")
+        swap = Perm.transposition(4, 1, 2)
+        monkeypatch.setattr(fz, "column_subgroup", lambda m, n: iter([swap]))
+        monkeypatch.setattr(fz, "coset_block_sum",
+                            lambda mu, m, n, rep: LaurentPoly.constant(1, m))
+        first = coset_audit((2, 1, 1, 0), 2, 2)
+        first.failures.clear()
+        failures = coset_audit((2, 1, 1, 0), 2, 2).failures
+        assert len(failures) == 3
+        assert all("nonzero block sum" in failure for failure in failures[:2])
+        assert failures[2] == f"column element {swap!r} moves a value to another column"
+
+    def test_shape_caches_are_bounded(self):
+        fz = importlib.import_module("charfactor.factorize")
+        for cache in (fz._outside_reps, fz._column_rows):
+            maxsize = cache.cache_info().maxsize
+            assert isinstance(maxsize, int) and 0 < maxsize <= 8
+
+    def test_warm_cache_never_bypasses_the_bound(self, summed):
+        assert coset_audit((0,) * 9, 3, 3).passed
+        summed.clear()
+        with pytest.raises(EnumerationTooLarge):
+            coset_audit((0,) * 9, 3, 3, bound=8)
+        assert summed == []
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
+    def test_cached_walk_equals_a_fresh_one(self, summed, m, n):
+        fresh = list(row_coset_reps(m, n, outside=True))
+        lam = (0,) * (m * n)
+        first = coset_audit(lam, m, n)
+        assert summed == fresh
+        summed.clear()
+        second = coset_audit(lam, m, n)
+        assert summed == fresh
+        assert first.to_dict() == second.to_dict()
 
     def test_row_invariance_check_can_fail(self, monkeypatch):
         # left unnormalized, the staircase has row blocks that mix residue
