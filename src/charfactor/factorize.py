@@ -253,9 +253,13 @@ def _sample_outside_cosets(m, n, count, rng):
     return list(drawn)
 
 
-# The audit's shape-only work, keyed on the enumerator as well, so that a
-# rebound one (a test stub, a tracer wrapper) is never served stale; every
-# value is a tuple, so no report owns what the cache holds.
+# The audit's shape-only work, cached up to _CACHED_COSETS row cosets (the
+# (2, 4) count, under 0.5 MB a shape) and built per call above that.  The
+# key holds the enumerator, so a rebound one (a test stub, a tracer wrapper)
+# is never served stale; values are tuples, so no report owns them.
+_CACHED_COSETS = 2520
+
+
 @lru_cache(maxsize=8)
 def _outside_reps(walk, m, n):
     return tuple(walk(m, n, m * n, outside=True))
@@ -300,11 +304,10 @@ def coset_audit(lam, m, n, outside_sample=None,
     residue class leaves that power alone, so the constant is row-invariant.
     m*n above bound raises EnumerationTooLarge before any coset is summed.
 
-    What depends on the shape alone is built once per (enumerator, m, n),
-    in two caches of 8 shapes each: the outside walk (`_outside_reps`) and,
-    per column element, its column check and its rows (`_column_rows`).
-    The bound, the residue check, every coset sum and every constant still
-    run per mu, and the column failures join every report.
+    The outside walk and each column element's check and rows depend on
+    the shape alone: up to _CACHED_COSETS row cosets they are built once per
+    (enumerator, m, n), in caches of 8 shapes.  The bound, the residue
+    check, every coset sum and every constant still run per mu.
     """
     lam = tuple(lam)
     _check_shape(lam, m, n)
@@ -313,15 +316,16 @@ def coset_audit(lam, m, n, outside_sample=None,
     mu, _ = normalize_residue_blocks(shifted_weight(lam), m, n)
     check_enumeration_bound(m * n, bound)
     check_residue_blocks(mu, m, n)
-    if outside_sample is not None and \
-            outside_sample < factorial(m * n) // factorial(m) ** n - factorial(n) ** m:
+    cosets = factorial(m * n) // factorial(m) ** n
+    cached = cosets <= _CACHED_COSETS
+    if outside_sample is not None and outside_sample < cosets - factorial(n) ** m:
         outside = _sample_outside_cosets(m, n, outside_sample, random.Random(seed))
     else:
-        outside = _outside_reps(row_coset_reps, m, n)
+        outside = (_outside_reps if cached else _outside_reps.__wrapped__)(row_coset_reps, m, n)
     failures = [f"nonzero block sum on the coset of {rep!r}"
                 for rep in outside if coset_block_sum(mu, m, n, rep)]
 
-    kept, moved = _column_rows(column_subgroup, m, n)
+    kept, moved = (_column_rows if cached else _column_rows.__wrapped__)(column_subgroup, m, n)
     failures += moved
     base = sum(p // m * v for p, v in enumerate(mu))
     omega_powers = {eta: (sum(map(mul, rows, mu)) - base) % n for eta, rows in kept}

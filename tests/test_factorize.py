@@ -615,6 +615,17 @@ class TestCosetAudit:
         for cache in (fz._outside_reps, fz._column_rows):
             maxsize = cache.cache_info().maxsize
             assert isinstance(maxsize, int) and 0 < maxsize <= 8
+        # a shape with more row cosets than the cap is built per call and
+        # left out of both caches: (1, 7) has 7! = 5040, (2, 4) exactly 2520
+        for cache in (fz._outside_reps, fz._column_rows):
+            cache.cache_clear()
+        report = coset_audit((0,) * 7, 1, 7)
+        assert report.passed and report.tested_inside == 5040
+        assert [cache.cache_info().currsize
+                for cache in (fz._outside_reps, fz._column_rows)] == [0, 0]
+        assert coset_audit((0,) * 8, 2, 4).passed
+        assert [cache.cache_info().currsize
+                for cache in (fz._outside_reps, fz._column_rows)] == [1, 1]
 
     def test_warm_cache_never_bypasses_the_bound(self, summed):
         assert coset_audit((0,) * 9, 3, 3).passed
