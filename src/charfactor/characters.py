@@ -29,12 +29,13 @@ the elementary or the complete symmetric functions of a concrete point,
 on the shorter side of the diagram, so of size at most N - 1.  As
 prod_(k<n) (1 + zeta_n^k x z) = 1 - (-x z)^n, those of t.c_n are e_(nj) =
 (-1)^((n+1)j) e_j and h_(nj) = h_j of the t_s^n, and zero in degrees not
-divisible by n, so an integer t keeps the determinant on Python ints;
-the Coxeter point (1, w, ..., w^(N-1)) is 1.c_N, so its values are ints.
-The plan, which e_(nj) or h_(nj) goes in which cell, is cached per
-(lam, n), at most 1,024 plans; a raise is not cached.  The identity is
-polynomial, so the point need not be regular.  The tableau Schur
-polynomial, alternant ratio and literal point t.c_n are test oracles.
+divisible by n, so an integer t keeps the determinant on Python ints.
+At the Coxeter point 1.c_N, `coxeter_value` takes the m = 1 certificate's
+sign instead; Jacobi-Trudi there is the tests' sign oracle.  The plan,
+which e_(nj) or h_(nj) goes in which cell, is cached per (lam, n), at
+most 1,024 plans; a raise is not cached.  The identity is polynomial, so
+the point need not be regular.  The tableau Schur polynomial, alternant
+ratio and literal point t.c_n are test oracles.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .cyclotomic import Cyclotomic, as_cyclotomic, zeta
 from .laurent import LaurentPoly
 from .perms import (DEFAULT_ENUMERATION_BOUND, check_enumeration_bound,
                     permutation_parity)
-from .weights import check_dominant, residue_normal_form
+from .weights import _staircase_sign, check_dominant, residue_normal_form, shifted_weight
 
 
 @lru_cache(maxsize=None)
@@ -299,10 +300,9 @@ def schur_at_point(lam, point, n=1):
 
 def coxeter_value(lam):
     """Character value at the regular point (1, w, w^2, ...), w a primitive
-    root of unity of order N = len(lam): that point is 1.c_N, so this is
-    `schur_at_point(lam, [1], N)` on ints, as an int; always 0, 1, or -1,
-    and 1 for the empty weight."""
-    value = int(schur_at_point(lam, [1], len(lam))) if lam else 1
-    if value not in (0, 1, -1):
-        raise RuntimeError(f"character value at a Coxeter point outside 0,+1,-1: {value}")
-    return value
+    root of unity of order N = len(lam), as an int.  That point is 1.c_N,
+    where the factors of the m = 1 certificate are 1, so the value is its
+    epsilon, by `factorize`'s route, or 0 when lam + rho is not residue-
+    balanced mod N: O(N log N) whatever the entries, 1 for the empty weight."""
+    normal = residue_normal_form(shifted_weight(lam), 1, len(lam))
+    return 0 if normal is None else normal[1] * _staircase_sign(1, len(lam))

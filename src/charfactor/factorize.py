@@ -13,7 +13,7 @@ identity multiplied out through `alternant` is its test oracle).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial, prod
 from operator import mul
@@ -21,18 +21,18 @@ from operator import mul
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure, Perm,
                     check_enumeration_bound, is_column_row_product,
                     row_coset_reps, column_subgroup)
-from .characters import (check_residue_blocks, coset_block_sum, coxeter_value,
-                         denominator_scalar, multiply_out, schur_at_point,
-                         twisted_numerator_terms)
-from .weights import (factor_weights, normalize_residue_blocks,
+from .characters import (check_residue_blocks, coset_block_sum, denominator_scalar,
+                         multiply_out, schur_at_point, twisted_numerator_terms)
+from .weights import (_staircase_sign, factor_weights, normalize_residue_blocks,
                       residue_normal_form, shifted_weight, staircase)
 
 DEFAULT_SEED = 1729
 
 
-@dataclass(frozen=True)
-class FactorizationCertificate:
-    """Outcome of `factorize`.
+class FactorizationCertificate(namedtuple("FactorizationCertificate",
+                                          "m n lam mu w0_sign etas epsilon",
+                                          defaults=(None,) * 4)):
+    """Outcome of `factorize`, an immutable named tuple.
 
     balanced is whether mu is present.  When it is not, the character is
     identically zero at every twisted point and the other fields are None.
@@ -41,13 +41,7 @@ class FactorizationCertificate:
     and epsilon the global sign of the factorization.
     """
 
-    m: int
-    n: int
-    lam: tuple
-    mu: tuple | None = None
-    w0_sign: int | None = None
-    etas: tuple | None = None
-    epsilon: int | None = None
+    __slots__ = ()
 
     @property
     def balanced(self):
@@ -73,11 +67,6 @@ def _check_shape(lam, m, n):
         raise ValueError(f"weight length {len(lam)} does not match m*n = {m * n}")
 
 
-@lru_cache(maxsize=None)
-def _staircase_sign(m, n):
-    return residue_normal_form(staircase(m * n), m, n)[1]
-
-
 def factorize(lam, m, n):
     """Produce the factorization certificate for a dominant weight of
     length m*n; a vanishing certificate when the residue balance fails."""
@@ -101,9 +90,11 @@ def sign_via_coxeter(lam, etas):
     primitive-root point (1, a, a^2, ...) with a of order m*n, whose n-th
     powers give the analogous rank-m point; when both are nonzero their
     ratio, an int, is the sign.  Returns None when both vanish there.
+    Each value is Jacobi-Trudi at 1.c_N, not `coxeter_value` (epsilon's route).
     """
-    big = coxeter_value(tuple(lam))
-    small = prod(coxeter_value(tuple(eta)) for eta in etas)
+    big, *factors = (int(schur_at_point(x, [1], len(x))) if x else 1
+                     for x in map(tuple, (lam, *etas)))
+    small = prod(factors)
     if not small and not big:
         return None
     if not big:
@@ -196,17 +187,12 @@ def vanishes_numerically(lam, m, n, samples=5, seed=DEFAULT_SEED):
     return not any(schur_at_point(lam, t, n) for t in points)
 
 
-@dataclass
-class CosetAuditReport:
-    """Findings of `coset_audit`; empty failures means everything passed.
-    tested_inside and invariance_checked are read from omega_powers."""
+class CosetAuditReport(namedtuple("CosetAuditReport",
+                                  "m n lam tested_outside omega_powers failures")):
+    """Findings of `coset_audit`, a named tuple; empty failures means everything
+    passed.  tested_inside and invariance_checked are read from omega_powers."""
 
-    m: int
-    n: int
-    lam: tuple
-    tested_outside: int
-    omega_powers: dict
-    failures: list
+    __slots__ = ()
 
     @property
     def tested_inside(self):

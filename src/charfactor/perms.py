@@ -13,7 +13,7 @@ representative, deciding that once per row-block choice of the same walk.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 DEFAULT_ENUMERATION_BOUND = 9
 
@@ -115,13 +115,11 @@ class Perm:
         return f"Perm({list(self.images)})"
 
 
-@dataclass(frozen=True)
-class BlockStructure:
+class BlockStructure(namedtuple("BlockStructure", "m n")):
     """Shape of the n x m position grid whose rows and columns are the
     blocks of the row and column subgroups."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
 
 def _coordinate_subgroup(blocks):

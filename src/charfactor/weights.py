@@ -7,6 +7,7 @@ raises ValueError there, and on a length other than m*n."""
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from operator import add, lt
 
 from .perms import permutation_parity
@@ -47,6 +48,12 @@ def residue_normal_form(vec, m, n):
         idxs.sort(key=vec.__getitem__, reverse=True)
         order += idxs
     return tuple(map(vec.__getitem__, order)), permutation_parity(order)
+
+
+@lru_cache(maxsize=None)
+def _staircase_sign(m, n):
+    # the sign of sorting staircase(m*n) into residue blocks, once per shape
+    return residue_normal_form(staircase(m * n), m, n)[1]
 
 
 def normalize_residue_blocks(vec, m, n):

@@ -6,11 +6,12 @@ and a power of zeta_n and multiplied out on those keys, the twisted
 Vandermonde multiplied out factor by factor, its constant over all
 C(n,2) root differences, the symbolic identity with its right-hand side
 rebuilt through `alternant` and compared multiplied out, a single
-variable t_s, the substitution t_s -> t_s^k, evaluation of
-a Laurent polynomial at a point, all of S_N, the column-row products by
-explicit multiplication, the permutation that normalizes the residue
-blocks, Littlewood's n-sign by ribbon removal, and the two-pass printer
-of a cyclotomic value.  None of them runs on a product path.
+variable t_s, the substitution t_s -> t_s^k, evaluation of a Laurent
+polynomial at a point, the Coxeter value by Jacobi-Trudi, all of S_N,
+the column-row products by explicit multiplication, the permutation
+that normalizes the residue blocks, Littlewood's n-sign by ribbon
+removal, and the two-pass printer of a cyclotomic value.  None of them
+runs on a product path.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from math import gcd
 from operator import add, gt
 
 from charfactor.characters import (_parities, alternant, denominator_scalar,
-                                   det_fraction_free)
+                                   det_fraction_free, schur_at_point)
 from charfactor.cyclotomic import (Cyclotomic, _power_map, _sparse_power_rows,
                                    as_cyclotomic, field_degree, zeta)
 from charfactor.laurent import LaurentPoly
@@ -121,6 +122,13 @@ def schur_ratio_at_point(lam, point):
     if not denom:
         raise ValueError("point not regular")
     return alternant_at_point(shifted_weight(lam), coords) / denom
+
+
+def coxeter_by_jacobi_trudi(lam):
+    """The character value at the Coxeter point 1.c_N, N = len(lam), by
+    Jacobi-Trudi on ints (its cost grows with lam_1 - lam_N); 1 for the
+    empty weight."""
+    return int(schur_at_point(lam, [1], len(lam))) if lam else 1
 
 
 def twisted_point(t, n):

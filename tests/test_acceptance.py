@@ -191,7 +191,7 @@ def test_criterion_6_coxeter_range():
     for size in range(2, 7):
         for lam in dominant_weights(size, 0, 4):
             checked += 1
-            value = coxeter_value(lam)  # raises internally if out of range
+            value = coxeter_value(lam)  # the range is checked here, not inside
             ok = ok and (value == 0 or value == 1 or value == -1)
     report(f"6 Coxeter-point range ({checked} weights)", ok,
            time.perf_counter() - start, budget=60)

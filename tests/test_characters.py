@@ -18,8 +18,8 @@ from charfactor.characters import (_jacobi_trudi_plan, alternant, coset_block_su
 from charfactor.factorize import random_regular_point
 from charfactor.weights import (check_dominant, dominant_weights, is_residue_balanced,
                                 normalize_residue_blocks, staircase)
-from oracles import (alternant_at_point, canonical_pair, denominator_by_pairs,
-                     evaluate, multiply_out_forms,
+from oracles import (alternant_at_point, canonical_pair, coxeter_by_jacobi_trudi,
+                     denominator_by_pairs, evaluate, multiply_out_forms,
                      numerator_by_row_sets, power_substitute, residue_permutation,
                      schur_polynomial, schur_ratio_at_point, symmetric_group,
                      terms_by_row_sets, twisted_point, twisted_vandermonde_product,
@@ -832,3 +832,18 @@ class TestCoxeterValue:
             for lam in dominant_weights(size, 0, 3):
                 value = coxeter_value(lam)
                 assert value == 0 or value == 1 or value == -1
+        # the certificate route against Jacobi-Trudi at 1.c_N on 3,002 weights
+        checked = 0
+        for size in range(1, 9):
+            for lam in dominant_weights(size, -2, 3):
+                checked += 1
+                assert coxeter_value(lam) == coxeter_by_jacobi_trudi(lam), lam
+        assert checked == 3002
+
+    def test_cost_does_not_grow_with_the_entries(self):
+        # h_w(1, -1) is 1 for even w and 0 for odd w; Jacobi-Trudi would
+        # build an index line of about w cells
+        for lam, expected in (((10**9, 0), 1), ((10**9 + 1, 0), 0)):
+            start = time.perf_counter()
+            assert coxeter_value(lam) == expected
+            assert time.perf_counter() - start < 0.01, lam

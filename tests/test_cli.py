@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import importlib
 import io
@@ -487,7 +486,7 @@ class TestCosetAuditCommand:
         empty = CosetAuditReport(m=2, n=2, lam=(0, 0, 0, 0), tested_outside=0,
                                  omega_powers={}, failures=["column check"])
         small = coset_audit((2, 1, 1, 0), 2, 2)
-        failing = dataclasses.replace(small, failures=['"constants": [],\n  "x"', "\u00e9"])
+        failing = small._replace(failures=['"constants": [],\n  "x"', "\u00e9"])
         for report in (full, empty, small, failing):
             assert cli.audit_json(report) == json.dumps(report.to_dict(), indent=2)
 
@@ -502,6 +501,17 @@ class TestCoxeterCommand:
         code, out = run_cli(capsys, "coxeter", "--lambda", "0,0,0")
         assert code == 0
         assert json.loads(out)["value"] == 1
+
+    def test_huge_entry_costs_nothing(self, capsys):
+        # the value is read off the m = 1 certificate, not a determinant
+        # whose index line grows with lam_1 - lam_N
+        code, out = run_cli(capsys, "coxeter", "--lambda=1000000000,0")
+        assert code == 0
+        assert json.loads(out)["value"] == 1
+
+    def test_non_dominant_weight(self, capsys):
+        assert main(["coxeter", "--lambda", "0,1"]) == 1
+        assert capsys.readouterr().err == "error: weight not dominant\n"
 
 
 class TestBenchCommand:
