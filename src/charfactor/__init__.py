@@ -11,8 +11,8 @@ from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure,
 from .weights import (check_dominant, dominant_weights, factor_weights,
                       is_residue_balanced, normalize_residue_blocks,
                       shifted_weight, staircase)
-from .characters import (alternant, coxeter_value, denominator_scalar,
-                         det_fraction_free, schur_at_point,
+from .characters import (alternant, coset_block_sums, coxeter_value,
+                         denominator_scalar, det_fraction_free, schur_at_point,
                          twisted_numerator, twisted_numerator_terms,
                          twisted_vandermonde_closed)
 from .factorize import (DEFAULT_SEED, CosetAuditReport,

@@ -4,7 +4,7 @@ The twisted point attaches the m parameters t_1..t_m to every power of a
 primitive n-th root of unity: coordinate k*m+s carries zeta_n^k * t_s.
 Everything is exact: ints stay ints, and `Cyclotomic` lifts field orders.
 
-The alternating sums (`twisted_numerator`, `coset_block_sum`, `alternant`)
+The alternating sums (`twisted_numerator`, `coset_block_sums`, `alternant`)
 are products of plain alternants det(t_s^v).  Sorted by residue class mod
 n, the twisted matrix factors as (F_n x I_m) diag(B_0, ..., B_(n-1)), F_n
 = (zeta_n^(kr)) and B_r = (t_s^v) over the values v of class r, so the
@@ -12,7 +12,8 @@ numerator is det(F_n)^m times the n alternants det(B_r) when every class
 holds m distinct values and zero otherwise.  With the rows fixed to a
 coset and each block of mu in one class r, row (k, s) of the block is
 zeta_n^(kr) t_s^v, so the sum is a signed root of unity times the n
-alternants, and zero when a block has two rows in one t-column.  A
+alternants, and zero when a block has two rows in one t-column; one call
+checks mu once for all the cosets it is given.  A
 numerator is one pair (n tuples of exponents, scalar), so no key holds a
 power of zeta_n: `factorize.verify_terms` decides the symbolic identity
 on the tuples, and `multiply_out` expands each alternant over Z and
@@ -89,31 +90,43 @@ def check_residue_blocks(mu, m, n):
         raise ValueError("a block of mu mixes residue classes mod n")
 
 
-def coset_block_sum(mu, m, n, rep):
-    """Signed sum of the block-specialized monomials of mu over the left
-    coset of the row subgroup represented by rep, for mu whose blocks each
-    lie in one residue class mod n; a block that mixes classes raises
-    ValueError, checked once per mu.  Row (k, s) of a block of
-    class r is zeta_n^(kr) t_s^v, so the sum is sgn(rep) times, for each
-    block, the sign of its t-columns and zeta_n^(r * sum of its k), times
-    the n alternants, multiplied out.  Two rows of a block in one t-column,
-    that is fewer than m*n distinct keys k*m + (image mod m) as in
-    `perms.is_column_row_product`, make the sum zero before anything else
-    is built."""
-    if len(mu) != m * n:
+def coset_block_sums(mu, m, n, reps):
+    """The signed sums of the block-specialized monomials of mu over the
+    left cosets of the row subgroup that reps represent, a list in their
+    order.  A mu of the wrong length, or with a block that mixes residue
+    classes mod n (`check_residue_blocks`), raises ValueError before any
+    rep; a rep not of length m*n, before its coset.  Row (k, s) of a block
+    of class r is zeta_n^(kr) t_s^v, so a sum is sgn(rep) times, per block,
+    the sign of its t-columns and zeta_n^(r * sum of its k), times the n
+    alternants, multiplied out.  Two rows of a block in one t-column, that
+    is fewer than m*n distinct keys k*m + (image mod m) as in
+    `perms.is_column_row_product`, make a sum zero before anything else is
+    built: one zero polynomial, shared by every such rep."""
+    mu, size = tuple(mu), m * n
+    if len(mu) != size:
         raise ValueError("mu length must be m*n")
-    check_residue_blocks(tuple(mu), m, n)
-    if len({q // m * m + p % m for q, p in enumerate(rep.images)}) < m * n:
-        return LaurentPoly.zero(m)
-    residues = [v % n for v in mu]
-    places = [divmod(p - 1, m) for p in rep.images]
-    cols = [s for _, s in places]
-    sign = rep.sign
-    for q in range(0, m * n, m):
-        sign *= permutation_parity(cols[q:q + m])
-    scalar = zeta(n, sum(residues[p] * k for p, (k, _) in enumerate(places)))
-    return multiply_out((tuple(tuple(mu[q:q + m]) for q in range(0, m * n, m)),
-                         scalar if sign > 0 else -scalar), m)
+    check_residue_blocks(mu, m, n)
+    zero, sums = LaurentPoly.zero(m), []
+    for rep in reps:
+        if len(rep.images) != size:
+            raise ValueError("rep length must be m*n")
+        if len({q // m * m + p % m for q, p in enumerate(rep.images)}) < size:
+            sums.append(zero)
+            continue
+        places = [divmod(p - 1, m) for p in rep.images]
+        cols = [s for _, s in places]
+        sign = rep.sign
+        for q in range(0, size, m):
+            sign *= permutation_parity(cols[q:q + m])
+        scalar = zeta(n, sum(mu[p] % n * k for p, (k, _) in enumerate(places)))
+        sums.append(multiply_out((tuple(mu[q:q + m] for q in range(0, size, m)),
+                                  scalar if sign > 0 else -scalar), m))
+    return sums
+
+
+def coset_block_sum(mu, m, n, rep):
+    """The `coset_block_sums` of the one coset of rep."""
+    return coset_block_sums(mu, m, n, (rep,))[0]
 
 
 def twisted_numerator_terms(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
@@ -202,6 +215,8 @@ def det_fraction_free(matrix):
     size = len(matrix)
     if size == 0:
         return 1
+    if size == 1 and len(matrix[0]) == 1:  # no step: the entry, lifted as below
+        return matrix[0][0] if type(matrix[0][0]) is int else as_cyclotomic(matrix[0][0])
     # `type`, not isinstance: `//` floors a Fraction, and bool stays out
     exact = all(type(x) is int for row in matrix for x in row)
     rows = []

@@ -21,8 +21,9 @@ from operator import mul
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure, Perm,
                     check_enumeration_bound, is_column_row_product,
                     row_coset_reps, column_subgroup)
-from .characters import (check_residue_blocks, coset_block_sum, denominator_scalar,
-                         multiply_out, schur_at_point, twisted_numerator_terms)
+from .characters import (check_residue_blocks, coset_block_sum, coset_block_sums,
+                         denominator_scalar, multiply_out, schur_at_point,
+                         twisted_numerator_terms)
 from .weights import (_staircase_sign, factor_weights, normalize_residue_blocks,
                       residue_normal_form, shifted_weight, staircase)
 
@@ -126,7 +127,10 @@ def sample_points(m, samples, seed=DEFAULT_SEED):
 
 def factored_value(cert, t):
     """The factored side of the identity at t: the int epsilon times the
-    product of the factor characters at the n-th powers of t."""
+    product of the factor characters at the n-th powers of t; a vanishing
+    certificate has no factors, so it raises ValueError."""
+    if not cert.balanced:
+        raise ValueError("certificate is a vanishing certificate; nothing to factor")
     value = cert.epsilon
     powers = [x ** cert.n for x in t]
     for eta in cert.etas:
@@ -277,14 +281,14 @@ def coset_audit(lam, m, n, outside_sample=None,
 
     (a) walks the canonical representatives of the outside cosets only
     (`row_coset_reps`, outside=True, flagged once per row-block choice) and
-    sums each through one `coset_block_sum` call; or, when outside_sample is
+    sums them in one `coset_block_sums` call; or, when outside_sample is
     below the (mn)!/(m!)^n - (n!)^m outside cosets, it draws that many
-    distinct ones with a Random seeded by seed, without listing the rest.
-    (b) checks two facts: each column element keeps every value in its
-    column, and, once per audit, every row block of the residue-normalized
-    mu lies in one residue class mod n (`check_residue_blocks`, cached for
-    the `coset_block_sum` calls).  A column element that keeps
-    columns moves no t-exponent, so it multiplies the base monomial by
+    distinct ones with a Random seeded by seed, without listing the rest,
+    and sums those in one call.  (b) checks two facts: each column element
+    keeps every value in its column, and, once per audit, every row block
+    of the residue-normalized mu lies in one residue class mod n
+    (`check_residue_blocks`, cached for that call).  A column element that
+    keeps columns moves no t-exponent, so it multiplies the base monomial by
     zeta_n to the power sum(rows * mu) - base, where rows[p] is the row
     block it carries position p to; and a row swap inside a block of one
     residue class leaves that power alone, so the constant is row-invariant.
@@ -309,7 +313,7 @@ def coset_audit(lam, m, n, outside_sample=None,
     else:
         outside = (_outside_reps if cached else _outside_reps.__wrapped__)(row_coset_reps, m, n)
     failures = [f"nonzero block sum on the coset of {rep!r}"
-                for rep in outside if coset_block_sum(mu, m, n, rep)]
+                for rep, total in zip(outside, coset_block_sums(mu, m, n, outside)) if total]
 
     kept, moved = (_column_rows if cached else _column_rows.__wrapped__)(column_subgroup, m, n)
     failures += moved

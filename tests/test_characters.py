@@ -11,8 +11,8 @@ from charfactor.cyclotomic import Cyclotomic, as_cyclotomic, field_degree, zeta
 from charfactor.laurent import LaurentPoly
 from charfactor.perms import EnumerationTooLarge, Perm, permutation_parity, row_coset_reps
 from charfactor.characters import (_jacobi_trudi_plan, alternant, coset_block_sum,
-                                   coxeter_value, denominator_scalar, det_fraction_free,
-                                   multiply_out, schur_at_point,
+                                   coset_block_sums, coxeter_value, denominator_scalar,
+                                   det_fraction_free, multiply_out, schur_at_point,
                                    twisted_numerator, twisted_numerator_terms,
                                    twisted_vandermonde_closed)
 from charfactor.factorize import random_regular_point
@@ -236,6 +236,46 @@ class TestFactoredExpansion:
                 assert total == numerator_by_row_sets(mu, m, n, rep.images), (mu, rep)
                 nonzero += bool(total)
         assert nonzero
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (2, 4)])
+    def test_one_call_sums_every_row_coset(self, m, n):
+        # every row coset in one call, the inside ones (nonzero for the
+        # normalized staircase) among them, one sum per rep in order
+        rng = random.Random(500 * m + n)
+        reps = list(row_coset_reps(m, n))
+        nonzero = 0
+        for mu in single_residue_blocks(rng, m, n):
+            sums = coset_block_sums(mu, m, n, reps)
+            assert sums == [numerator_by_row_sets(mu, m, n, rep.images) for rep in reps], mu
+            nonzero += sum(map(bool, sums))
+        assert nonzero
+        assert coset_block_sums(mu, m, n, ()) == []
+
+    @pytest.mark.parametrize("mu,message", [
+        ((4, 1, 2, 0), "mixes residue classes"),
+        ((3, 1, 2), r"mu length must be m\*n"),
+        ((3, 1, 2, 0, 1, 2), r"mu length must be m\*n"),
+    ], ids=["mixing", "short", "long"])
+    def test_bad_mu_raises_before_any_rep(self, mu, message):
+        # checked before reps is first advanced, also when it is empty
+        def untouched():
+            raise AssertionError("a rep was drawn")
+            yield
+
+        for reps in ((), untouched()):
+            with pytest.raises(ValueError, match=message):
+                coset_block_sums(mu, 2, 2, reps)
+
+    @pytest.mark.parametrize("images", [(1, 2, 3), (1, 2, 3, 4, 5, 6)], ids=["short", "long"])
+    def test_wrong_length_rep_rejected(self, images):
+        # no coset of S_4: a short rep's key set would read as a vanishing
+        # coset, and a long one's images reach past mu
+        mu, good = (3, 1, 2, 0), Perm((1, 2, 3, 4))
+        with pytest.raises(ValueError, match=r"rep length must be m\*n"):
+            coset_block_sum(mu, 2, 2, Perm(images))
+        for reps in ((Perm(images),), (good, Perm(images))):
+            with pytest.raises(ValueError, match=r"rep length must be m\*n"):
+                coset_block_sums(mu, 2, 2, reps)
 
     @pytest.mark.parametrize("mu", [(4, 1, 2, 0), (3, 1, 2, 5), (0, 1, 2, 3)])
     def test_block_mixing_residue_classes_rejected(self, mu):
@@ -710,6 +750,18 @@ class TestDeterminant:
         # an empty matrix is all-int, so it stays on ints
         value = det_fraction_free([])
         assert type(value) is int and value == 1
+
+    def test_one_by_one_is_its_entry(self):
+        # no elimination step: an int stays an int, any other entry comes
+        # back as `as_cyclotomic` lifts it, and a non-square row still raises
+        value = det_fraction_free([[-7]])
+        assert type(value) is int and value == -7
+        value = det_fraction_free([[Fraction(2, 3)]])
+        assert isinstance(value, Cyclotomic) and value == Fraction(2, 3)
+        value = det_fraction_free([[zeta(5, 2)]])
+        assert isinstance(value, Cyclotomic) and value == zeta(5, 2)
+        with pytest.raises(ValueError, match="matrix must be square"):
+            det_fraction_free([[1, 2]])
 
     def test_non_square_rejected(self):
         for matrix in ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[Fraction(1, 2)], [1]]):

@@ -12,14 +12,15 @@ from charfactor.laurent import LaurentPoly, block_specialize
 from charfactor.perms import (BlockStructure, EnumerationTooLarge, Perm,
                               is_column_row_product, row_coset_reps,
                               row_subgroup, column_subgroup)
-from charfactor.characters import (alternant, multiply_out, schur_at_point,
-                                   twisted_numerator, twisted_numerator_terms)
+from charfactor.characters import (alternant, coset_block_sums, multiply_out,
+                                   schur_at_point, twisted_numerator,
+                                   twisted_numerator_terms)
 from charfactor.weights import (dominant_weights, is_residue_balanced,
                                 normalize_residue_blocks, residue_normal_form,
                                 shifted_weight, staircase)
 from charfactor.factorize import (FactorizationCertificate, coset_audit,
-                                  coset_block_sum, factorize, random_regular_point,
-                                  sample_points, sign_via_coxeter,
+                                  coset_block_sum, factored_value, factorize,
+                                  random_regular_point, sample_points, sign_via_coxeter,
                                   vanishes_numerically, verify_numeric,
                                   verify_symbolic)
 from charfactor.cli import run_benchmark
@@ -29,7 +30,8 @@ from oracles import (block_key, littlewood_sign, power_substitute, schur_ratio_a
 # the weights of TestSignViaCoxeter.test_closed_form_matches_determinant_oracle
 SIGN_GRID = (((2, 2), -2, 3), ((2, 3), -1, 2), ((3, 2), -1, 2),
              ((2, 4), 0, 2), ((4, 2), 0, 2))
-# the grid of the perfbench symbolic workload
+# the grids of the perfbench sweep and symbolic workloads
+SWEEP_GRID = (((2, 2), 0, 3), ((2, 3), 0, 2), ((3, 2), 0, 2))
 SYMBOLIC_GRID = (((2, 3), 0, 2), ((3, 2), 0, 2), ((2, 4), 0, 1), ((4, 2), 0, 1))
 
 
@@ -238,6 +240,27 @@ class TestVerifyNumeric:
         cert = factorize((1, 1, 0, 0), 2, 2)
         assert verify_numeric(cert, samples=2, seed=5) == \
             verify_numeric(cert, samples=2, seed=5)
+
+
+class TestFactoredValue:
+    def test_equals_the_character_on_the_sweep_grid(self):
+        # the identity is polynomial, so it holds at irregular, negative
+        # and fractional points as well as at the sampled ones
+        checked = 0
+        for (m, n), lo, hi in SWEEP_GRID:
+            points = [[0] * m, [-2] * m, [Fraction(1, k + 2) for k in range(m)],
+                      *sample_points(m, 2)]
+            for lam in balanced_weights(m, n, lo, hi):
+                cert = factorize(lam, m, n)
+                for t in points:
+                    assert factored_value(cert, t) == schur_at_point(lam, t, n), (lam, t)
+                checked += 1
+        assert checked >= 20
+
+    def test_vanishing_certificate_rejected(self):
+        cert = factorize((1, 0, 0, 0), 2, 2)
+        with pytest.raises(ValueError, match="vanishing certificate; nothing to factor"):
+            factored_value(cert, [2, 3])
 
 
 class TestVerifySymbolic:
@@ -517,16 +540,22 @@ def constants_by_row_subgroup(mu, m, n, etas):
 
 @pytest.fixture
 def summed(monkeypatch):
-    # the coset representatives that coset_audit sums, in order
+    # the coset representatives that coset_audit sums, in order, through
+    # its one coset_block_sums call per weight
     reps = []
 
-    def recording(mu, m, n, rep):
-        reps.append(rep)
-        return coset_block_sum(mu, m, n, rep)
+    def recording(mu, m, n, outside):
+        reps.extend(outside)
+        return coset_block_sums(mu, m, n, outside)
 
     monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
-                        "coset_block_sum", recording)
+                        "coset_block_sums", recording)
     return reps
+
+
+def summing_to_one(mu, m, n, outside):
+    # a stub of the audit's coset_block_sums: every coset sums to 1
+    return [LaurentPoly.constant(1, m) for _ in outside]
 
 
 class TestCosetAudit:
@@ -600,8 +629,7 @@ class TestCosetAudit:
         fz = importlib.import_module("charfactor.factorize")
         swap = Perm.transposition(4, 1, 2)
         monkeypatch.setattr(fz, "column_subgroup", lambda m, n: iter([swap]))
-        monkeypatch.setattr(fz, "coset_block_sum",
-                            lambda mu, m, n, rep: LaurentPoly.constant(1, m))
+        monkeypatch.setattr(fz, "coset_block_sums", summing_to_one)
         first = coset_audit((2, 1, 1, 0), 2, 2)
         first.failures.clear()
         failures = coset_audit((2, 1, 1, 0), 2, 2).failures
@@ -651,8 +679,8 @@ class TestCosetAudit:
         # any coset sum, which is stubbed to zero
         fz = importlib.import_module("charfactor.factorize")
         summed = []
-        monkeypatch.setattr(fz, "coset_block_sum",
-                            lambda mu, m, n, rep: summed.append(rep) or LaurentPoly.zero(m))
+        monkeypatch.setattr(fz, "coset_block_sums", lambda mu, m, n, outside: [
+            summed.append(rep) or LaurentPoly.zero(m) for rep in outside])
         for _ in range(2):
             with monkeypatch.context() as patch:
                 patch.setattr(fz, "normalize_residue_blocks", lambda v, m, n: (tuple(v), 1))
@@ -663,7 +691,7 @@ class TestCosetAudit:
             coset_audit((0, 0, 0, 0, 0, 0), 2, 3)
             summed.clear()
         # a nonzero coset sum is one failure per outside coset
-        monkeypatch.setattr(fz, "coset_block_sum", lambda mu, m, n, rep: LaurentPoly.constant(1, m))
+        monkeypatch.setattr(fz, "coset_block_sums", summing_to_one)
         report = coset_audit((0, 0, 0, 0, 0, 0), 2, 3)
         assert report.tested_outside == 54
         assert sum("nonzero block sum" in failure for failure in report.failures) == 54
@@ -726,11 +754,11 @@ class TestCosetAudit:
         assert report.to_dict() == coset_audit((2, 1, 1, 0), 2, 2).to_dict()
 
     def test_sampled_audit_checks_the_bound_first(self, monkeypatch):
-        def refuse(mu, m, n, rep):
+        def refuse(mu, m, n, outside):
             raise AssertionError("coset summed above the bound")
 
         monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
-                            "coset_block_sum", refuse)
+                            "coset_block_sums", refuse)
         with pytest.raises(EnumerationTooLarge):
             coset_audit((0,) * 10, 2, 5, outside_sample=5)
         with pytest.raises(EnumerationTooLarge):
