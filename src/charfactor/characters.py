@@ -147,9 +147,7 @@ def twisted_numerator_terms(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
     normal, sign = normal
     if (n * (n - 1) // 2) * (m * (m + 1) // 2) % 2:
         sign = -sign
-    scalar = denominator_scalar(m, n)
-    return (tuple(normal[q:q + m] for q in range(0, m * n, m)),
-            scalar if sign > 0 else -scalar)
+    return tuple([normal[q:q + m] for q in range(0, m * n, m)]), _signed_scalar(m, n, sign)
 
 
 def twisted_numerator(mu, m, n, bound=DEFAULT_ENUMERATION_BOUND):
@@ -179,6 +177,12 @@ def denominator_scalar(m, n):
     if (m * (m - 1) // 2) * (n * (n - 1) // 2) % 2:
         c = -c
     return c
+
+
+@lru_cache(maxsize=256)
+def _signed_scalar(m, n, sign):
+    """sign times `denominator_scalar(m, n)`, one shared value per (m, n, sign)."""
+    return denominator_scalar(m, n) if sign > 0 else -denominator_scalar(m, n)
 
 
 def twisted_vandermonde_closed(m, n):

@@ -15,17 +15,18 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from functools import lru_cache
+from itertools import chain
 from math import factorial, prod
 from operator import mul
 
 from .perms import (DEFAULT_ENUMERATION_BOUND, BlockStructure, Perm,
                     check_enumeration_bound, is_column_row_product,
                     row_coset_reps, column_subgroup)
-from .characters import (check_residue_blocks, coset_block_sum, coset_block_sums,
-                         denominator_scalar, multiply_out, schur_at_point,
+from .characters import (_signed_scalar, check_residue_blocks, coset_block_sum,
+                         coset_block_sums, multiply_out, schur_at_point,
                          twisted_numerator_terms)
-from .weights import (_staircase_sign, factor_weights, normalize_residue_blocks,
-                      residue_normal_form, shifted_weight, staircase)
+from .weights import (_block_offsets, _staircase_sign, factor_weights,
+                      normalize_residue_blocks, residue_normal_form, shifted_weight)
 
 DEFAULT_SEED = 1729
 
@@ -75,13 +76,11 @@ def factorize(lam, m, n):
     _check_shape(lam, m, n)
     normal = residue_normal_form(shifted_weight(lam), m, n)
     if normal is None:
-        return FactorizationCertificate(m=m, n=n, lam=lam)
+        return FactorizationCertificate(m, n, lam)
     mu, w0_sign = normal
-    etas = factor_weights(mu, m, n)
     # mu and the normalized staircase share one row-block scalar at t.c_n (Littlewood's n-core sign)
-    epsilon = w0_sign * _staircase_sign(m, n)
-    return FactorizationCertificate(m=m, n=n, lam=lam, mu=mu, w0_sign=w0_sign,
-                                    etas=etas, epsilon=epsilon)
+    return FactorizationCertificate(m, n, lam, mu, w0_sign, factor_weights(mu, m, n),
+                                    w0_sign * _staircase_sign(m, n))
 
 
 def sign_via_coxeter(lam, etas):
@@ -158,7 +157,7 @@ def verify_symbolic(cert, bound=DEFAULT_ENUMERATION_BOUND):
     pair; scalar is None when no single scalar matches."""
     if not cert.balanced:
         raise ValueError("certificate is a vanishing certificate; nothing to factor")
-    return verify_terms(cert, twisted_numerator_terms(cert.mu, cert.m, cert.n, bound=bound))
+    return verify_terms(cert, twisted_numerator_terms(cert.mu, cert.m, cert.n, bound))
 
 
 def verify_terms(cert, terms):
@@ -170,16 +169,16 @@ def verify_terms(cert, terms):
     of length m, or with a zero alternant, match no scalar, and signs
     other than 1 and -1 fail."""
     m, n = cert.m, cert.n
-    if len(cert.etas) != n or any(len(eta) != m for eta in cert.etas):
+    if tuple(map(len, cert.etas)) != (m,) * n:
         return False, None
-    rhs = tuple(tuple(k + n * (e + r) for e, r in zip(eta, staircase(m)))
-                for k, eta in enumerate(cert.etas))
+    flat = [n * e + o for e, o in zip(chain.from_iterable(cert.etas), _block_offsets(m, n)[1])]
+    rhs = tuple([tuple(flat[m * k:m * k + m]) for k in range(n)])
     if terms and terms[0] == rhs:
         scalar = terms[1]
     else:
         scalar = multiply_out(terms, m).scalar_ratio(multiply_out((rhs, 1), m))
     ok = (scalar is not None and cert.w0_sign in (1, -1) and cert.epsilon in (1, -1)
-          and scalar == denominator_scalar(m, n) * (cert.epsilon * cert.w0_sign))
+          and scalar == _signed_scalar(m, n, cert.epsilon * cert.w0_sign))
     return ok, scalar
 
 

@@ -30,22 +30,16 @@ def check_enumeration_bound(size, bound=DEFAULT_ENUMERATION_BOUND):
 
 
 def permutation_parity(images):
-    """Parity (+1 or -1) of a 0-based image tuple, by cycle decomposition."""
-    size = len(images)
-    seen = bytearray(size)
-    parity = 1
-    for i in range(size):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = 1
-            j = images[j]
-            length += 1
-        if not length & 1:
-            parity = -parity
-    return parity
+    """Parity (+1 or -1) of a 0-based image tuple: (-1)^(size - cycles)."""
+    seen = [False] * len(images)
+    cycles = 0
+    for i, j in enumerate(images):
+        if not seen[i]:
+            cycles += 1
+            while not seen[j]:  # marks the cycle of i, i last
+                seen[j] = True
+                j = images[j]
+    return -1 if (len(images) - cycles) & 1 else 1
 
 
 class Perm:

@@ -67,17 +67,27 @@ def normalize_residue_blocks(vec, m, n):
     return normal
 
 
+@lru_cache(maxsize=256)
+def _block_offsets(m, n):
+    # the shape-only half of factor_weights: slot k*m + j of a residue-
+    # normal vector holds class k, and k + n*rho_j with rho = staircase(m)
+    rho = staircase(m)
+    return (tuple(k for k in range(n) for _ in rho),
+            tuple(k + n * r for k in range(n) for r in rho))
+
+
 def factor_weights(mu, m, n):
     """One dominant length-m weight per block k of mu in residue normal form:
-    divide out the modulus via x -> (x - k)/n, then drop the staircase."""
-    rho = staircase(m)
-    out = []
-    for k in range(n):
-        block = mu[m * k: m * (k + 1)]
-        if any(x % n != k for x in block):
-            raise ValueError("residue condition fails")
-        out.append(tuple((x - k) // n - r for x, r in zip(block, rho)))
-    return tuple(out)
+    divide out the modulus via x -> (x - k)/n, then drop the staircase, as
+    eta = (x - k - n*rho_j) // n.  A mu of length other than m*n, or with
+    an entry outside the class of its block, raises ValueError."""
+    classes, offsets = _block_offsets(m, n)
+    if len(mu) != len(offsets):
+        raise ValueError("vector length must be m*n")
+    if tuple([x % n for x in mu]) != classes:
+        raise ValueError("residue condition fails")
+    flat = [(x - o) // n for x, o in zip(mu, offsets)]
+    return tuple([tuple(flat[m * k:m * k + m]) for k in range(n)])
 
 
 def dominant_weights(length, lo, hi):

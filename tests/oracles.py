@@ -9,9 +9,11 @@ rebuilt through `alternant` and compared multiplied out, a single
 variable t_s, the substitution t_s -> t_s^k, evaluation of a Laurent
 polynomial at a point, the Coxeter value by Jacobi-Trudi, all of S_N,
 the column-row products by explicit multiplication, the permutation
-that normalizes the residue blocks, Littlewood's n-sign by ribbon
-removal, and the two-pass printer of a cyclotomic value.  None of them
-runs on a product path.
+that normalizes the residue blocks, the parity by counting inversions,
+the factor weights read block by block and the factored side's exponent
+tuples eta by eta (the product's routes before its per-shape offsets
+table), Littlewood's n-sign by ribbon removal, and the two-pass printer
+of a cyclotomic value.  None of them runs on a product path.
 """
 
 import itertools
@@ -429,6 +431,34 @@ def residue_permutation(vec, m, n):
         raise ValueError("vector length must be m*n")
     order = sorted(range(m * n), key=lambda i: (vec[i] % n, -vec[i]))
     return Perm(i + 1 for i in order).inverse()
+
+
+def inversion_parity(images):
+    """(-1) to the number of inversions of a 0-based image tuple; oracle
+    for permutation_parity, which counts cycles."""
+    inversions = sum(a > b for a, b in itertools.combinations(images, 2))
+    return -1 if inversions % 2 else 1
+
+
+def factor_weights_by_blocks(mu, m, n):
+    """`weights.factor_weights` block by block: (x - k) // n - rho_j for the
+    entries x of block k, which must all lie in class k mod n.  Blocks
+    past len(mu) are empty and entries past m*n are not read."""
+    rho = staircase(m)
+    out = []
+    for k in range(n):
+        block = mu[m * k: m * (k + 1)]
+        if any(x % n != k for x in block):
+            raise ValueError("residue condition fails")
+        out.append(tuple((x - k) // n - r for x, r in zip(block, rho)))
+    return tuple(out)
+
+
+def factored_exponents(etas, m, n):
+    """The exponent tuples k + n(eta_k + rho) of the factored side that
+    `factorize.verify_terms` compares the numerator's with, eta by eta."""
+    return tuple(tuple(k + n * (e + r) for e, r in zip(eta, staircase(m)))
+                 for k, eta in enumerate(etas))
 
 
 def littlewood_sign(lam, n):

@@ -12,19 +12,20 @@ from charfactor.laurent import LaurentPoly, block_specialize
 from charfactor.perms import (BlockStructure, EnumerationTooLarge, Perm,
                               is_column_row_product, row_coset_reps,
                               row_subgroup, column_subgroup)
-from charfactor.characters import (alternant, coset_block_sums, multiply_out,
-                                   schur_at_point, twisted_numerator,
+from charfactor.characters import (alternant, coset_block_sums, denominator_scalar,
+                                   multiply_out, schur_at_point, twisted_numerator,
                                    twisted_numerator_terms)
-from charfactor.weights import (dominant_weights, is_residue_balanced,
+from charfactor.weights import (dominant_weights, factor_weights, is_residue_balanced,
                                 normalize_residue_blocks, residue_normal_form,
                                 shifted_weight, staircase)
 from charfactor.factorize import (FactorizationCertificate, coset_audit,
                                   coset_block_sum, factored_value, factorize,
                                   random_regular_point, sample_points, sign_via_coxeter,
                                   vanishes_numerically, verify_numeric,
-                                  verify_symbolic)
+                                  verify_symbolic, verify_terms)
 from charfactor.cli import run_benchmark
-from oracles import (block_key, littlewood_sign, power_substitute, schur_ratio_at_point,
+from oracles import (block_key, factor_weights_by_blocks, factored_exponents,
+                     littlewood_sign, power_substitute, schur_ratio_at_point,
                      twisted_point, verify_numerator)
 
 # the weights of TestSignViaCoxeter.test_closed_form_matches_determinant_oracle
@@ -809,6 +810,52 @@ class TestCertificateInvariants:
         mu, sign = normalize_residue_blocks(shifted_weight(cert.lam), 2, 2)
         assert cert.mu == mu
         assert cert.w0_sign == sign
+
+
+class TestShapeTables:
+    # the sign grid with negative entries, where floor division matters,
+    # and the one-block and one-class shapes
+    GRID = SIGN_GRID + (((1, 5), -1, 1), ((5, 1), -1, 1))
+
+    def certificates(self):
+        return [factorize(lam, m, n) for (m, n), lo, hi in self.GRID
+                for lam in balanced_weights(m, n, lo, hi)]
+
+    def test_factor_weights_match_the_block_by_block_route(self):
+        certs = self.certificates()
+        assert len(certs) == 186
+        for cert in certs:
+            expected = factor_weights_by_blocks(cert.mu, cert.m, cert.n)
+            assert factor_weights(cert.mu, cert.m, cert.n) == cert.etas == expected, cert.lam
+
+    def test_factored_side_matches_the_eta_by_eta_route(self, monkeypatch):
+        # with multiplying out refused, verify_terms passes only when the
+        # exponent tuples it builds equal the oracle's; the etas lowered by
+        # one check the tuples off the factor_weights round trip
+        def refuse(terms, m):
+            raise AssertionError("the factored side did not match")
+
+        monkeypatch.setattr(importlib.import_module("charfactor.factorize"),
+                            "multiply_out", refuse)
+        for cert in self.certificates():
+            m, n = cert.m, cert.n
+            scalar = twisted_numerator_terms(cert.mu, m, n)[1]
+            lowered = cert._replace(etas=tuple(tuple(e - 1 for e in eta) for eta in cert.etas))
+            for c in (cert, lowered):
+                assert verify_terms(c, (factored_exponents(c.etas, m, n), scalar)) == (True, scalar)
+
+    def test_numerator_scalar_is_the_signed_constant(self):
+        # the shifted weight before normalizing takes the rearrangement sign
+        # w0 times (-1)^(C(n,2) C(m+1,2)), and both signs occur
+        signs = set()
+        for cert in self.certificates():
+            m, n = cert.m, cert.n
+            sign = cert.w0_sign * (-1) ** (comb(n, 2) * comb(m + 1, 2))
+            expected = denominator_scalar(m, n) * sign
+            assert twisted_numerator_terms(shifted_weight(cert.lam), m, n)[1] == expected
+            assert twisted_numerator_terms(cert.mu, m, n)[1] == expected * cert.w0_sign
+            signs.add(sign)
+        assert signs == {1, -1}
 
 
 class TestStaircaseSign:

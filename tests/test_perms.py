@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,8 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from charfactor.perms import (BlockStructure, EnumerationTooLarge, Perm,
                               column_subgroup, is_column_row_product,
-                              row_coset_reps, row_subgroup)
-from oracles import column_row_products, row_coset_reps_by_sorting, symmetric_group
+                              permutation_parity, row_coset_reps, row_subgroup)
+from oracles import (column_row_products, inversion_parity, row_coset_reps_by_sorting,
+                     symmetric_group)
+
+
+class TestPermutationParity:
+    def test_matches_inversion_count_up_to_size_seven(self):
+        # every permutation of sizes 0-7, against a route that shares no
+        # code with the cycle count (the S_mn oracles call permutation_parity)
+        checked = 0
+        for size in range(8):
+            for images in itertools.permutations(range(size)):
+                assert permutation_parity(images) == inversion_parity(images), images
+                checked += 1
+        assert checked == sum(math.factorial(size) for size in range(8))
 
 
 class TestPerm:

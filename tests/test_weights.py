@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from charfactor.weights import (dominant_weights, factor_weights,
                                 is_residue_balanced, normalize_residue_blocks,
                                 residue_normal_form, shifted_weight, staircase)
-from oracles import residue_permutation
+from oracles import factor_weights_by_blocks, residue_permutation
 
 
 class TestStaircase:
@@ -149,6 +149,12 @@ class TestFactorWeights:
     def test_staircase_blocks(self):
         assert factor_weights((2, 0, 3, 1), 2, 2) == ((0, 0), (0, 0))
 
+    @pytest.mark.parametrize("mu", [(4, 0, 3), (4, 0, 3, 1, 7, 6)])
+    def test_rejects_a_length_other_than_m_n(self, mu):
+        # a short mu once gave ((1, 0), (0,)) and a long one dropped its tail
+        with pytest.raises(ValueError, match=r"length must be m\*n"):
+            factor_weights(mu, 2, 2)
+
     def test_rejects_a_block_outside_its_class(self):
         # at n = 2, block 0 takes the even entries and block 1 the odd ones
         with pytest.raises(ValueError, match="residue condition fails"):
@@ -168,17 +174,6 @@ class TestFactorWeights:
             assert all(eta[i] >= eta[i + 1] for i in range(len(eta) - 1))
 
 
-def factor_weights_by_sorting(mu, m, n):
-    # reference: sort each block of mu before reading it
-    out = []
-    for k in range(n):
-        block = sorted(mu[m * k: m * (k + 1)], reverse=True)
-        if any(x % n != k for x in block):
-            raise ValueError("residue condition fails")
-        out.append(tuple((x - k) // n - r for x, r in zip(block, staircase(m))))
-    return tuple(out)
-
-
 class TestFactorWeightsAgainstSorting:
     def test_every_balanced_weight_up_to_size_eight(self):
         # residue_normal_form leaves each block decreasing, so reading the
@@ -191,7 +186,9 @@ class TestFactorWeightsAgainstSorting:
                     normal = residue_normal_form(shifted_weight(lam), m, n)
                     if normal is not None:
                         mu = normal[0]
-                        assert factor_weights(mu, m, n) == factor_weights_by_sorting(mu, m, n)
+                        blocks = (sorted(mu[q:q + m], reverse=True) for q in range(0, size, m))
+                        expected = factor_weights_by_blocks(sum(blocks, []), m, n)
+                        assert factor_weights(mu, m, n) == expected
                         checked += 1
         assert checked == 735
 
