@@ -442,8 +442,8 @@ def inversion_parity(images):
 
 def factor_weights_by_blocks(mu, m, n):
     """`weights.factor_weights` block by block: (x - k) // n - rho_j for the
-    entries x of block k, which must all lie in class k mod n.  Blocks
-    past len(mu) are empty and entries past m*n are not read."""
+    entries x of block k, which must all lie in class k mod n; len(mu)
+    is not checked."""
     rho = staircase(m)
     out = []
     for k in range(n):
